@@ -75,8 +75,8 @@ func (s *Scheduler) AuditSnapshot() *AuditSnapshot {
 }
 
 // ClassAudit returns this class's slice of the audit snapshot. The zero
-// ClassAudit is returned when auditing is disabled or the class has not
-// produced any events yet.
+// ClassAudit is returned when auditing is disabled, the class has not
+// produced any events yet, or it has been removed (see Class.Metrics).
 func (c *Class) ClassAudit() ClassAudit {
 	if c.sched.aud == nil {
 		return ClassAudit{}

@@ -438,6 +438,9 @@ func (s *Scheduler) AddClass(parent *Class, name string, cfg ClassConfig) (*Clas
 // class already removed returns ErrClassRemoved; a stale *Class held
 // across RemoveClass can never displace a class later re-added under the
 // same name (Class(name) keeps resolving to the live one).
+//
+// The class leaves Snapshot, AuditSnapshot and WriteMetrics with it; a
+// same-named class added later gets a fresh id and counts from zero.
 func (s *Scheduler) RemoveClass(cl *Class) error {
 	if cl == nil {
 		return ErrNilClass
@@ -455,6 +458,17 @@ func (s *Scheduler) RemoveClass(cl *Class) error {
 	}
 	if s.be != nil {
 		s.be.RemoveClass(cl.c.ID())
+	}
+	// Telemetry forgets the class before its name is released, so a reader
+	// that sees the name gone sees its series gone too. Every removal path
+	// (CollectIdle, the queues' admin routes, middleware eviction) comes
+	// through here, and a removed class is passive: nothing in flight is
+	// lost.
+	if s.agg != nil {
+		s.agg.Forget(cl.c.ID())
+	}
+	if s.aud != nil {
+		s.aud.Forget(cl.c.ID())
 	}
 	s.countCurved(cl.c.RSC(), cl.c.USC(), -1)
 	s.autoResolve()

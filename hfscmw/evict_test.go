@@ -7,6 +7,7 @@ package hfscmw
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -129,4 +130,70 @@ func TestAdmitDuringEvictionChurn(t *testing.T) {
 		t.Fatalf("no request admitted during churn (shed=%d)", shed)
 	}
 	t.Logf("admitted=%d shed=%d", admitted, shed)
+}
+
+// An evicted tenant leaves the telemetry with its class: re-admitted
+// after each eviction, it must appear once in /metrics — no duplicate
+// label sets — and Snapshot and AuditSnapshot must list only the live
+// class, under its current id.
+func TestEvictedTenantLeavesTelemetry(t *testing.T) {
+	l, err := New(Config{
+		Concurrency: 4,
+		EvictAfter:  20 * time.Millisecond,
+		Metrics:     true,
+		Audit:       true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for cycle := 0; cycle < 3; cycle++ {
+		if _, err := l.AddTenant("gold", SLO{Burst: 2, Latency: 10 * time.Millisecond, Sustained: 1}); err != nil {
+			t.Fatal(err)
+		}
+		tk, err := l.Admit(context.Background(), "gold", "GET /x")
+		if err != nil {
+			t.Fatalf("cycle %d: admit: %v", cycle, err)
+		}
+		tk.Finish(time.Millisecond)
+		waitFor(t, 5*time.Second, func() bool {
+			_, live := l.Stats()["gold"]
+			return !live
+		}, "gold tenant eviction")
+	}
+	// Re-admit once more and scrape while the tenant is live.
+	tk, err := l.Admit(context.Background(), "gold", "GET /x")
+	if err != nil {
+		t.Fatalf("admit after evictions: %v", err)
+	}
+	tk.Done()
+	id := l.Stats()["gold"].Class
+	var buf strings.Builder
+	if err := l.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		key := line[:strings.LastIndexByte(line, ' ')]
+		if seen[key] {
+			t.Errorf("duplicate sample %s", key)
+		}
+		seen[key] = true
+	}
+	if !seen[`hfsc_enqueued_packets_total{class="gold"}`] {
+		t.Errorf("live tenant missing from /metrics:\n%s", buf.String())
+	}
+	for _, c := range l.Snapshot().Classes {
+		if c.Name == "gold" && c.ID != id {
+			t.Errorf("Snapshot lists evicted class gold#%d (live id %d)", c.ID, id)
+		}
+	}
+	for _, c := range l.AuditSnapshot().Classes {
+		if c.Name == "gold" && c.ID != id {
+			t.Errorf("AuditSnapshot lists evicted class gold#%d (live id %d)", c.ID, id)
+		}
+	}
 }

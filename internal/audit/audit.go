@@ -283,7 +283,7 @@ type Auditor struct {
 	opts    Options
 	tolNs   int64
 	winNs   int64
-	classes []*classAudit // indexed by class id; nil = never seen
+	classes []*classAudit // indexed by class id; nil = never seen or forgotten
 
 	lastEvent    int64
 	ulimitDefers uint64
@@ -331,6 +331,19 @@ func (a *Auditor) SetBurst(classID int, burst int64) {
 		}
 		a.burstByID[classID] = burst
 	}
+	a.mu.Unlock()
+}
+
+// Forget drops a removed class's audit state and any burst allowance
+// still pending for it, so snapshots list only live classes. A class
+// re-created under the same name has a fresh id and is audited from
+// zero. Call it only once the class has been removed from the scheduler.
+func (a *Auditor) Forget(id int) {
+	a.mu.Lock()
+	if id >= 0 && id < len(a.classes) {
+		a.classes[id] = nil
+	}
+	delete(a.burstByID, id)
 	a.mu.Unlock()
 }
 

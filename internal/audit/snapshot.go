@@ -68,8 +68,8 @@ type Snapshot struct {
 	Now int64
 	// UlimitDefers counts link-level upper-limit deferral events seen.
 	UlimitDefers uint64
-	// Classes holds one entry per class that produced events, in class id
-	// order.
+	// Classes holds one entry per live class that produced events, in
+	// class id order. Removed classes are forgotten.
 	Classes []ClassAudit
 }
 

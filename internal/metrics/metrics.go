@@ -266,7 +266,7 @@ type Aggregator struct {
 	mu      sync.Mutex
 	opts    Options
 	tau     float64
-	classes []*classState // indexed by class id; nil = never seen
+	classes []*classState // indexed by class id; nil = never seen or forgotten
 
 	lastEvent    int64
 	ulimitDefers uint64
@@ -333,6 +333,20 @@ func (a *Aggregator) state(cl *core.Class) *classState {
 		a.classes[id] = st
 	}
 	return st
+}
+
+// Forget drops a removed class's state, so snapshots and expositions list
+// only live classes and a scrape costs O(live classes). The class's series
+// go stale the way a deleted Prometheus label value does; a class later
+// re-created under the same name has a fresh id and starts from zero.
+// Call it only once the class has been removed from the scheduler (a
+// removed class is passive, so nothing in flight is lost).
+func (a *Aggregator) Forget(id int) {
+	a.mu.Lock()
+	if id >= 0 && id < len(a.classes) {
+		a.classes[id] = nil
+	}
+	a.mu.Unlock()
 }
 
 // Trace implements core.Tracer.
@@ -574,8 +588,8 @@ type Snapshot struct {
 	// auditing is enabled — hfsc.Config.Audit). The scheduler attaches it
 	// when the snapshot is taken; the aggregator itself never writes it.
 	Audit *audit.Snapshot
-	// Classes holds one entry per class that has produced events, in class
-	// id (creation) order.
+	// Classes holds one entry per live class that has produced events, in
+	// class id (creation) order. Removed classes are forgotten.
 	Classes []ClassSnapshot
 }
 

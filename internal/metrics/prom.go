@@ -1,10 +1,9 @@
 package metrics
 
 import (
-	"fmt"
 	"io"
+	"slices"
 	"strconv"
-	"strings"
 
 	"github.com/netsched/hfsc/internal/audit"
 	"github.com/netsched/hfsc/internal/curve"
@@ -16,267 +15,377 @@ import (
 // labelled by name; dequeue criteria appear as crit="rt"/"ls" so the
 // link-sharing/real-time split the paper's decoupling argument rests on is
 // visible per class.
+//
+// The exposition is built in one byte slice and written with a single
+// Write. Each class label is escaped once per scrape and each histogram
+// bucket set's le labels are rendered once, so a scrape allocates a
+// constant number of buffers, never per sample line.
 func WritePrometheus(w io.Writer, s *Snapshot) error {
-	b := &strings.Builder{}
+	e := &expo{b: make([]byte, 0, expoBaseBytes+expoClassBytes*len(s.Classes))}
+	cls := classLabels(len(s.Classes), func(i int) string { return s.Classes[i].Name })
 
-	family(b, "hfsc_enqueued_packets_total", "counter",
+	e.family("hfsc_enqueued_packets_total", "counter",
 		"Packets accepted into a leaf queue.")
 	for i := range s.Classes {
-		c := &s.Classes[i]
-		counter(b, "hfsc_enqueued_packets_total", lbl("class", c.Name), float64(c.EnqueuedPackets))
+		e.sample("hfsc_enqueued_packets_total", cls[i], "", float64(s.Classes[i].EnqueuedPackets))
 	}
 
-	family(b, "hfsc_sent_packets_total", "counter",
+	e.family("hfsc_sent_packets_total", "counter",
 		"Packets dequeued, by class and selection criterion (rt = real-time, ls = link-sharing).")
 	for i := range s.Classes {
 		c := &s.Classes[i]
-		counter(b, "hfsc_sent_packets_total", lbl("class", c.Name)+","+lbl("crit", "rt"), float64(c.SentPacketsRT))
-		counter(b, "hfsc_sent_packets_total", lbl("class", c.Name)+","+lbl("crit", "ls"), float64(c.SentPacketsLS))
+		e.sample("hfsc_sent_packets_total", cls[i], `crit="rt"`, float64(c.SentPacketsRT))
+		e.sample("hfsc_sent_packets_total", cls[i], `crit="ls"`, float64(c.SentPacketsLS))
 	}
 
-	family(b, "hfsc_sent_bytes_total", "counter",
+	e.family("hfsc_sent_bytes_total", "counter",
 		"Bytes dequeued, by class and selection criterion.")
 	for i := range s.Classes {
 		c := &s.Classes[i]
-		counter(b, "hfsc_sent_bytes_total", lbl("class", c.Name)+","+lbl("crit", "rt"), float64(c.SentBytesRT))
-		counter(b, "hfsc_sent_bytes_total", lbl("class", c.Name)+","+lbl("crit", "ls"), float64(c.SentBytesLS))
+		e.sample("hfsc_sent_bytes_total", cls[i], `crit="rt"`, float64(c.SentBytesRT))
+		e.sample("hfsc_sent_bytes_total", cls[i], `crit="ls"`, float64(c.SentBytesLS))
 	}
 
-	family(b, "hfsc_drops_total", "counter",
+	e.family("hfsc_drops_total", "counter",
 		"Packets dropped at a full leaf queue.")
 	for i := range s.Classes {
-		c := &s.Classes[i]
-		counter(b, "hfsc_drops_total", lbl("class", c.Name)+","+lbl("reason", "queue_limit"), float64(c.DropsQueueLimit))
+		e.sample("hfsc_drops_total", cls[i], `reason="queue_limit"`, float64(s.Classes[i].DropsQueueLimit))
 	}
 
-	family(b, "hfsc_enqueue_rejects_total", "counter",
+	e.family("hfsc_enqueue_rejects_total", "counter",
 		"Packets refused before reaching a leaf queue.")
-	counter(b, "hfsc_enqueue_rejects_total", lbl("reason", "unknown_class"), float64(s.DropsUnknownClass))
-	counter(b, "hfsc_enqueue_rejects_total", lbl("reason", "bad_packet"), float64(s.DropsBadPacket))
-	counter(b, "hfsc_enqueue_rejects_total", lbl("reason", "intake_full"), float64(s.DropsIntakeFull))
-	counter(b, "hfsc_enqueue_rejects_total", lbl("reason", "stopped"), float64(s.DropsStopped))
-	counter(b, "hfsc_enqueue_rejects_total", lbl("reason", "canceled"), float64(s.DropsCanceled))
+	e.sample("hfsc_enqueue_rejects_total", nil, `reason="unknown_class"`, float64(s.DropsUnknownClass))
+	e.sample("hfsc_enqueue_rejects_total", nil, `reason="bad_packet"`, float64(s.DropsBadPacket))
+	e.sample("hfsc_enqueue_rejects_total", nil, `reason="intake_full"`, float64(s.DropsIntakeFull))
+	e.sample("hfsc_enqueue_rejects_total", nil, `reason="stopped"`, float64(s.DropsStopped))
+	e.sample("hfsc_enqueue_rejects_total", nil, `reason="canceled"`, float64(s.DropsCanceled))
 
-	family(b, "hfsc_deadline_misses_total", "counter",
+	e.family("hfsc_deadline_misses_total", "counter",
 		"Real-time dequeues that departed after their service-curve deadline.")
 	for i := range s.Classes {
-		c := &s.Classes[i]
-		counter(b, "hfsc_deadline_misses_total", lbl("class", c.Name), float64(c.DeadlineMisses))
+		e.sample("hfsc_deadline_misses_total", cls[i], "", float64(s.Classes[i].DeadlineMisses))
 	}
 
-	family(b, "hfsc_activations_total", "counter",
+	e.family("hfsc_activations_total", "counter",
 		"Transitions of a class from passive to active.")
 	for i := range s.Classes {
-		c := &s.Classes[i]
-		counter(b, "hfsc_activations_total", lbl("class", c.Name), float64(c.Activations))
+		e.sample("hfsc_activations_total", cls[i], "", float64(s.Classes[i].Activations))
 	}
 
-	family(b, "hfsc_corrections_total", "counter",
+	e.family("hfsc_corrections_total", "counter",
 		"Completion corrections applied per class (actual cost reconciled against the estimate).")
 	for i := range s.Classes {
-		c := &s.Classes[i]
-		counter(b, "hfsc_corrections_total", lbl("class", c.Name), float64(c.Corrections))
+		e.sample("hfsc_corrections_total", cls[i], "", float64(s.Classes[i].Corrections))
 	}
 
-	family(b, "hfsc_corrected_cost_units", "gauge",
+	e.family("hfsc_corrected_cost_units", "gauge",
 		"Signed sum of applied correction deltas per class, in cost units (positive = work charged after the fact).")
 	for i := range s.Classes {
-		c := &s.Classes[i]
-		gauge(b, "hfsc_corrected_cost_units", lbl("class", c.Name), float64(c.CorrectedCost))
+		e.sample("hfsc_corrected_cost_units", cls[i], "", float64(s.Classes[i].CorrectedCost))
 	}
 
-	family(b, "hfsc_ulimit_defers_total", "counter",
+	e.family("hfsc_ulimit_defers_total", "counter",
 		"Dequeue attempts refused because every active class was deferred by an upper-limit curve.")
-	counter(b, "hfsc_ulimit_defers_total", "", float64(s.UlimitDefers))
+	e.sample("hfsc_ulimit_defers_total", nil, "", float64(s.UlimitDefers))
 
-	family(b, "hfsc_queue_packets", "gauge", "Packets currently queued per class.")
+	e.family("hfsc_queue_packets", "gauge", "Packets currently queued per class.")
 	for i := range s.Classes {
-		c := &s.Classes[i]
-		gauge(b, "hfsc_queue_packets", lbl("class", c.Name), float64(c.QueuedPackets))
+		e.sample("hfsc_queue_packets", cls[i], "", float64(s.Classes[i].QueuedPackets))
 	}
 
-	family(b, "hfsc_queue_bytes", "gauge", "Bytes currently queued per class.")
+	e.family("hfsc_queue_bytes", "gauge", "Bytes currently queued per class.")
 	for i := range s.Classes {
-		c := &s.Classes[i]
-		gauge(b, "hfsc_queue_bytes", lbl("class", c.Name), float64(c.QueuedBytes))
+		e.sample("hfsc_queue_bytes", cls[i], "", float64(s.Classes[i].QueuedBytes))
 	}
 
-	family(b, "hfsc_service_rate_bytes_per_second", "gauge",
+	e.family("hfsc_service_rate_bytes_per_second", "gauge",
 		"EWMA service rate per class; crit=\"all\" covers both criteria, crit=\"rt\" real-time service only.")
 	for i := range s.Classes {
 		c := &s.Classes[i]
-		gauge(b, "hfsc_service_rate_bytes_per_second", lbl("class", c.Name)+","+lbl("crit", "all"), c.RateBps)
-		gauge(b, "hfsc_service_rate_bytes_per_second", lbl("class", c.Name)+","+lbl("crit", "rt"), c.RateRTBps)
+		e.sample("hfsc_service_rate_bytes_per_second", cls[i], `crit="all"`, c.RateBps)
+		e.sample("hfsc_service_rate_bytes_per_second", cls[i], `crit="rt"`, c.RateRTBps)
 	}
 
-	family(b, "hfsc_deadline_slack_seconds", "histogram",
+	e.family("hfsc_deadline_slack_seconds", "histogram",
 		"Deadline minus departure time for real-time dequeues; negative buckets are misses.")
 	for i := range s.Classes {
 		c := &s.Classes[i]
 		if c.DeadlineSlack.Count == 0 && !c.Leaf {
 			continue
 		}
-		histogram(b, "hfsc_deadline_slack_seconds", lbl("class", c.Name), c.DeadlineSlack)
+		e.histogram("hfsc_deadline_slack_seconds", cls[i], "", c.DeadlineSlack)
 	}
 
-	family(b, "hfsc_queue_delay_seconds", "histogram",
+	e.family("hfsc_queue_delay_seconds", "histogram",
 		"Time from enqueue to dequeue per class.")
 	for i := range s.Classes {
 		c := &s.Classes[i]
 		if c.QueueDelay.Count == 0 && !c.Leaf {
 			continue
 		}
-		histogram(b, "hfsc_queue_delay_seconds", lbl("class", c.Name), c.QueueDelay)
+		e.histogram("hfsc_queue_delay_seconds", cls[i], "", c.QueueDelay)
 	}
 
-	family(b, "hfsc_spans_sampled_total", "counter",
+	e.family("hfsc_spans_sampled_total", "counter",
 		"Packet-lifecycle spans folded into the latency decomposition (1-in-N sampled).")
-	counter(b, "hfsc_spans_sampled_total", "", float64(s.SpansSampled))
+	e.sample("hfsc_spans_sampled_total", nil, "", float64(s.SpansSampled))
 
-	family(b, "hfsc_span_seconds", "histogram",
+	e.family("hfsc_span_seconds", "histogram",
 		"Sampled per-packet latency decomposition by stage: intake_wait (submit to intake drain), queue (enqueue to dequeue), pacing (dequeue to transmit).")
 	if s.SpanIntakeWait.Counts != nil {
-		histogram(b, "hfsc_span_seconds", lbl("stage", "intake_wait"), s.SpanIntakeWait)
+		e.histogram("hfsc_span_seconds", nil, `stage="intake_wait"`, s.SpanIntakeWait)
 	}
 	if s.SpanQueueDelay.Counts != nil {
-		histogram(b, "hfsc_span_seconds", lbl("stage", "queue"), s.SpanQueueDelay)
+		e.histogram("hfsc_span_seconds", nil, `stage="queue"`, s.SpanQueueDelay)
 	}
 	if s.SpanPacingDelay.Counts != nil {
-		histogram(b, "hfsc_span_seconds", lbl("stage", "pacing"), s.SpanPacingDelay)
+		e.histogram("hfsc_span_seconds", nil, `stage="pacing"`, s.SpanPacingDelay)
 	}
 
-	family(b, "hfsc_flight_records_total", "counter",
+	e.family("hfsc_flight_records_total", "counter",
 		"Events written to the flight recorder rings.")
-	counter(b, "hfsc_flight_records_total", "", float64(s.FlightRecorded))
+	e.sample("hfsc_flight_records_total", nil, "", float64(s.FlightRecorded))
 
-	family(b, "hfsc_flight_dropped_total", "counter",
+	e.family("hfsc_flight_dropped_total", "counter",
 		"Flight-recorder records overwritten by ring wrap before the window closed.")
-	counter(b, "hfsc_flight_dropped_total", "", float64(s.FlightDropped))
+	e.sample("hfsc_flight_dropped_total", nil, "", float64(s.FlightDropped))
 
 	if s.Audit != nil {
-		writeGuarantees(b, s.Audit)
+		e.guarantees(s.Audit)
 	}
 
-	_, err := io.WriteString(w, b.String())
+	_, err := w.Write(e.b)
 	return err
 }
 
-// writeGuarantees renders the online guarantee auditor's verdicts as the
+// guarantees renders the online guarantee auditor's verdicts as the
 // hfsc_guarantee_* families. Only present when auditing is enabled.
-func writeGuarantees(b *strings.Builder, a *audit.Snapshot) {
-	family(b, "hfsc_guarantee_checks_total", "counter",
+func (e *expo) guarantees(a *audit.Snapshot) {
+	cls := classLabels(len(a.Classes), func(i int) string { return a.Classes[i].Name })
+
+	e.family("hfsc_guarantee_checks_total", "counter",
 		"Guarantee checks performed by the online auditor (one per served packet of a guaranteed class, per drop, and per stalled-backlog probe).")
 	for i := range a.Classes {
-		c := &a.Classes[i]
-		counter(b, "hfsc_guarantee_checks_total", lbl("class", c.Name), float64(c.Checks))
+		e.sample("hfsc_guarantee_checks_total", cls[i], "", float64(a.Classes[i].Checks))
 	}
 
-	family(b, "hfsc_guarantee_violations_total", "counter",
+	e.family("hfsc_guarantee_violations_total", "counter",
 		"Guarantee violations, attributed by cause: scheduler-late (genuine lateness), nonconforming-arrival (sender over its curve), ulimit-defer, drop, cost-correction.")
 	for i := range a.Classes {
 		c := &a.Classes[i]
 		for j := range c.ViolationsByCause {
-			counter(b, "hfsc_guarantee_violations_total",
-				lbl("class", c.Name)+","+lbl("cause", audit.Cause(j).String()),
-				float64(c.ViolationsByCause[j]))
+			e.sample("hfsc_guarantee_violations_total", cls[i], causeLabels[j], float64(c.ViolationsByCause[j]))
 		}
 	}
 
-	family(b, "hfsc_guarantee_margin_min_seconds", "gauge",
+	e.family("hfsc_guarantee_margin_min_seconds", "gauge",
 		"Minimum conformance margin over the sliding window: headroom between the fluid service-curve deadline (plus allowance) and actual departure; negative = lateness. Absent until a guaranteed class is served.")
 	for i := range a.Classes {
 		c := &a.Classes[i]
 		if !c.Guaranteed || c.MinMarginNs == curve.Inf {
 			continue
 		}
-		gauge(b, "hfsc_guarantee_margin_min_seconds", lbl("class", c.Name), float64(c.MinMarginNs)/1e9)
+		e.sample("hfsc_guarantee_margin_min_seconds", cls[i], "", float64(c.MinMarginNs)/1e9)
 	}
 
-	family(b, "hfsc_guarantee_delay_seconds", "gauge",
+	e.family("hfsc_guarantee_delay_seconds", "gauge",
 		"Per-packet delay versus the advertised fluid-SCED bound: kind=\"max\" is the worst observed arrival-to-dequeue delay, kind=\"bound\" the bound it is audited against.")
 	for i := range a.Classes {
 		c := &a.Classes[i]
 		if !c.Guaranteed {
 			continue
 		}
-		gauge(b, "hfsc_guarantee_delay_seconds", lbl("class", c.Name)+","+lbl("kind", "max"), float64(c.DelayMaxNs)/1e9)
+		e.sample("hfsc_guarantee_delay_seconds", cls[i], `kind="max"`, float64(c.DelayMaxNs)/1e9)
 		if c.DelayBoundNs > 0 && c.DelayBoundNs < curve.Inf {
-			gauge(b, "hfsc_guarantee_delay_seconds", lbl("class", c.Name)+","+lbl("kind", "bound"), float64(c.DelayBoundNs)/1e9)
+			e.sample("hfsc_guarantee_delay_seconds", cls[i], `kind="bound"`, float64(c.DelayBoundNs)/1e9)
 		}
 	}
 
-	family(b, "hfsc_guarantee_burn_rate", "gauge",
+	e.family("hfsc_guarantee_burn_rate", "gauge",
 		"Fraction of guarantee checks that were violations over the trailing window (SLO burn rate).")
 	for i := range a.Classes {
 		c := &a.Classes[i]
-		gauge(b, "hfsc_guarantee_burn_rate", lbl("class", c.Name)+","+lbl("window", "1s"), c.BurnRate1s)
-		gauge(b, "hfsc_guarantee_burn_rate", lbl("class", c.Name)+","+lbl("window", "30s"), c.BurnRate30s)
-		gauge(b, "hfsc_guarantee_burn_rate", lbl("class", c.Name)+","+lbl("window", "5m"), c.BurnRate5m)
+		e.sample("hfsc_guarantee_burn_rate", cls[i], `window="1s"`, c.BurnRate1s)
+		e.sample("hfsc_guarantee_burn_rate", cls[i], `window="30s"`, c.BurnRate30s)
+		e.sample("hfsc_guarantee_burn_rate", cls[i], `window="5m"`, c.BurnRate5m)
 	}
 
-	family(b, "hfsc_guarantee_nonconforming_periods_total", "counter",
+	e.family("hfsc_guarantee_nonconforming_periods_total", "counter",
 		"Busy periods whose arrivals exceeded the class's service-curve envelope (no guarantee owed for the excess).")
 	for i := range a.Classes {
-		c := &a.Classes[i]
-		counter(b, "hfsc_guarantee_nonconforming_periods_total", lbl("class", c.Name), float64(c.NonConformingPeriods))
+		e.sample("hfsc_guarantee_nonconforming_periods_total", cls[i], "", float64(a.Classes[i].NonConformingPeriods))
 	}
 
-	family(b, "hfsc_guarantee_verdict", "gauge",
+	e.family("hfsc_guarantee_verdict", "gauge",
 		"Guarantee health per class: 0 = ok, 1 = at risk, 2 = violated.")
 	for i := range a.Classes {
-		c := &a.Classes[i]
-		gauge(b, "hfsc_guarantee_verdict", lbl("class", c.Name), float64(c.Verdict))
+		e.sample("hfsc_guarantee_verdict", cls[i], "", float64(a.Classes[i].Verdict))
 	}
 }
 
-func family(b *strings.Builder, name, typ, help string) {
-	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
+// Initial output capacity: the class-independent families plus a typical
+// class's share with audit on, so a scrape rarely regrows its buffer.
+const (
+	expoBaseBytes  = 4 << 10
+	expoClassBytes = 4 << 10
+)
 
-func counter(b *strings.Builder, name, labels string, v float64) {
-	sample(b, name, labels, v)
-}
-
-func gauge(b *strings.Builder, name, labels string, v float64) {
-	sample(b, name, labels, v)
-}
-
-func sample(b *strings.Builder, name, labels string, v float64) {
-	b.WriteString(name)
-	if labels != "" {
-		b.WriteByte('{')
-		b.WriteString(labels)
-		b.WriteByte('}')
+// causeLabels holds the cause="…" label of each violation cause.
+var causeLabels = func() (l [audit.CauseCount]string) {
+	for i := range l {
+		l[i] = string(appendLabel(nil, "cause", audit.Cause(i).String()))
 	}
-	b.WriteByte(' ')
-	b.WriteString(fmtFloat(v))
-	b.WriteByte('\n')
+	return l
+}()
+
+// expo accumulates one exposition.
+type expo struct {
+	b   []byte
+	les []leSet // le labels of the bucket sets seen so far this scrape
 }
 
-// histogram renders one class's histogram as cumulative le-buckets (bounds
+// leSet is one histogram bucket set's rendered le="…" labels.
+type leSet struct {
+	bounds []int64
+	le     [][]byte
+}
+
+func (e *expo) family(name, typ, help string) {
+	e.b = append(e.b, "# HELP "...)
+	e.b = append(e.b, name...)
+	e.b = append(e.b, ' ')
+	e.b = append(e.b, help...)
+	e.b = append(e.b, "\n# TYPE "...)
+	e.b = append(e.b, name...)
+	e.b = append(e.b, ' ')
+	e.b = append(e.b, typ...)
+	e.b = append(e.b, '\n')
+}
+
+// sample appends one `name{cls,extra} v` line; cls is a pre-escaped class
+// label and extra a constant label pair, either of which may be empty.
+func (e *expo) sample(name string, cls []byte, extra string, v float64) {
+	e.b = append(e.b, name...)
+	e.labels(cls, extra, nil)
+	e.b = append(e.b, ' ')
+	e.b = strconv.AppendFloat(e.b, v, 'g', -1, 64)
+	e.b = append(e.b, '\n')
+}
+
+// histogram renders one histogram as cumulative le-buckets (bounds
 // converted ns→s) ending in le="+Inf", plus _sum and _count.
-func histogram(b *strings.Builder, name, labels string, h HistogramSnapshot) {
+func (e *expo) histogram(name string, cls []byte, extra string, h HistogramSnapshot) {
+	le := e.leLabels(h.Bounds)
 	var cum uint64
-	for i, bound := range h.Bounds {
+	for i := range h.Bounds {
 		cum += h.Counts[i]
-		fmt.Fprintf(b, "%s_bucket{%s,le=%q} %d\n", name, labels, fmtFloat(float64(bound)/1e9), cum)
+		e.bucket(name, cls, extra, le[i], cum)
 	}
 	if len(h.Counts) > 0 {
 		cum += h.Counts[len(h.Counts)-1]
 	}
-	fmt.Fprintf(b, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, labels, cum)
-	fmt.Fprintf(b, "%s_sum{%s} %s\n", name, labels, fmtFloat(float64(h.Sum)/1e9))
-	fmt.Fprintf(b, "%s_count{%s} %d\n", name, labels, h.Count)
+	e.bucket(name, cls, extra, leInf, cum)
+	e.b = append(e.b, name...)
+	e.b = append(e.b, "_sum"...)
+	e.labels(cls, extra, nil)
+	e.b = append(e.b, ' ')
+	e.b = strconv.AppendFloat(e.b, float64(h.Sum)/1e9, 'g', -1, 64)
+	e.b = append(e.b, '\n')
+	e.b = append(e.b, name...)
+	e.b = append(e.b, "_count"...)
+	e.labels(cls, extra, nil)
+	e.b = append(e.b, ' ')
+	e.b = strconv.AppendUint(e.b, h.Count, 10)
+	e.b = append(e.b, '\n')
 }
 
-// lbl renders one name="value" pair, escaping the value per the exposition
-// format (backslash, double quote, newline).
-func lbl(name, value string) string {
-	return name + `="` + labelEscaper.Replace(value) + `"`
+var leInf = []byte(`le="+Inf"`)
+
+func (e *expo) bucket(name string, cls []byte, extra string, le []byte, cum uint64) {
+	e.b = append(e.b, name...)
+	e.b = append(e.b, "_bucket"...)
+	e.labels(cls, extra, le)
+	e.b = append(e.b, ' ')
+	e.b = strconv.AppendUint(e.b, cum, 10)
+	e.b = append(e.b, '\n')
 }
 
-var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+// labels appends the non-empty label pairs, comma-separated in braces
+// (nothing at all when every pair is empty).
+func (e *expo) labels(cls []byte, extra string, le []byte) {
+	if len(cls) == 0 && extra == "" && len(le) == 0 {
+		return
+	}
+	e.b = append(e.b, '{')
+	e.b = append(e.b, cls...)
+	if len(cls) > 0 && extra != "" {
+		e.b = append(e.b, ',')
+	}
+	e.b = append(e.b, extra...)
+	if len(le) > 0 {
+		if len(cls) > 0 || extra != "" {
+			e.b = append(e.b, ',')
+		}
+		e.b = append(e.b, le...)
+	}
+	e.b = append(e.b, '}')
+}
 
-func fmtFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+// leLabels returns the le="…" label of every bound in a bucket set,
+// rendering each set once per scrape (classes share the default sets).
+func (e *expo) leLabels(bounds []int64) [][]byte {
+	for _, s := range e.les {
+		if slices.Equal(s.bounds, bounds) {
+			return s.le
+		}
+	}
+	le := renderLabels(len(bounds), func(dst []byte, i int) []byte {
+		dst = append(dst, `le="`...)
+		dst = strconv.AppendFloat(dst, float64(bounds[i])/1e9, 'g', -1, 64)
+		return append(dst, '"')
+	})
+	e.les = append(e.les, leSet{bounds, le})
+	return le
+}
+
+// classLabels escapes each class name once into a class="…" label, so a
+// scrape escapes per class, not per sample line.
+func classLabels(n int, name func(i int) string) [][]byte {
+	return renderLabels(n, func(dst []byte, i int) []byte {
+		return appendLabel(dst, "class", name(i))
+	})
+}
+
+// renderLabels renders n labels into one shared arena and returns each
+// label's slice of it. Earlier labels keep their backing array when the
+// arena regrows, so every returned slice stays valid.
+func renderLabels(n int, render func(dst []byte, i int) []byte) [][]byte {
+	out := make([][]byte, n)
+	arena := make([]byte, 0, 24*n) // room for n short labels up front
+	for i := range out {
+		start := len(arena)
+		arena = render(arena, i)
+		out[i] = arena[start:len(arena):len(arena)]
+	}
+	return out
+}
+
+// appendLabel appends one name="value" pair, escaping the value per the
+// exposition format (backslash, double quote, newline).
+func appendLabel(dst []byte, name, value string) []byte {
+	dst = append(dst, name...)
+	dst = append(dst, `="`...)
+	for i := 0; i < len(value); i++ {
+		switch c := value[i]; c {
+		case '\\':
+			dst = append(dst, `\\`...)
+		case '"':
+			dst = append(dst, `\"`...)
+		case '\n':
+			dst = append(dst, `\n`...)
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return append(dst, '"')
 }

@@ -209,8 +209,14 @@ func (s *Scheduler) lcArmed() bool { return len(s.lc) > 0 }
 
 // lcPeriod is the scan interval: a quarter of the smallest enrolled grace
 // (so collection lags the grace by at most 25%), floored at 1ms so a
-// microscopic grace cannot turn the pacing loop into a busy GC loop.
+// microscopic grace cannot turn the pacing loop into a busy GC loop. With
+// nothing enrolled it is the floor: the scan that collected the last
+// class must not push the next scan out of reach of a class enrolled
+// later.
 func (s *Scheduler) lcPeriod() int64 {
+	if len(s.lc) == 0 {
+		return int64(time.Millisecond)
+	}
 	min := int64(1<<63 - 1)
 	for _, e := range s.lc {
 		if e.grace < min {

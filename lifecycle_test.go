@@ -591,3 +591,35 @@ func TestMultiQueueLifecycleSentinels(t *testing.T) {
 		t.Errorf("CorrectClass(ghost): err = %v, want ErrUnknownClass", err)
 	}
 }
+
+// The pacing loop's own collection scans must resume for a class enrolled
+// after the last tracked class was collected: the scan that empties the
+// registry must not schedule the next one out of reach.
+func TestPacedQueueCollectsAfterRegistryEmpties(t *testing.T) {
+	s := New(Config{LinkRate: 100 * Mbps})
+	s.SetTemplate("t/", ClassTemplate{
+		Class: ClassConfig{LinkShare: Linear(Mbps)},
+		Grace: 5 * time.Millisecond,
+	})
+	q, err := NewPacedQueue(s, func(p *Packet) { p.Release() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Start()
+	defer q.Stop()
+	for cycle := 0; cycle < 3; cycle++ {
+		if _, err := q.EnsureClass("t/a"); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			if _, ok := q.ClassID("t/a"); !ok {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("cycle %d: idle class never collected by the pacing loop", cycle)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}

@@ -121,8 +121,11 @@ func (s *Scheduler) WriteMetrics(w io.Writer) error {
 }
 
 // Metrics returns this class's slice of the metrics snapshot. The zero
-// ClassSnapshot is returned when metrics are disabled or the class has not
-// produced any events yet.
+// ClassSnapshot is returned when metrics are disabled, the class has not
+// produced any events yet, or it has been removed: RemoveClass (and idle
+// collection, which calls it) forgets the class's metrics, so a scrape
+// costs O(live classes) and a same-named class added later starts from
+// zero under its new id.
 func (c *Class) Metrics() ClassSnapshot {
 	if c.sched.agg == nil {
 		return ClassSnapshot{}

@@ -92,6 +92,9 @@ type PacedQueue struct {
 	corrMu      sync.Mutex
 	corrQ       []correction
 	corrPending atomic.Bool
+	// corrLoop (under corrMu) is set while the pacing goroutine is alive to
+	// apply queued corrections: from Start until its exit flush.
+	corrLoop bool
 
 	// Span sampling (Config.Spans): every spanEvery-th submitted packet is
 	// stamped with its submit clock; the transmit side turns the stamps
@@ -213,6 +216,9 @@ func (q *PacedQueue) Start() {
 		return
 	}
 	q.started = true
+	q.corrMu.Lock()
+	q.corrLoop = true
+	q.corrMu.Unlock()
 	q.done.Add(1)
 	go q.loop()
 }
@@ -377,10 +383,12 @@ type correction struct {
 // crit the criterion that served it (Packet.Crit at Transmit). Safe from
 // any goroutine: the adjustment is queued and applied by the pacing
 // goroutine between scheduling passes, so it is asynchronous — Snapshot
-// may lag a Correct by one pass. On a queue that is not running the
-// adjustment is applied inline (callers must then serialize with other
-// direct Scheduler use, as with Inspect). Unknown and removed classes are
-// ignored.
+// may lag a Correct by one pass; during Stop the pacing goroutine's exit
+// flush applies it, so it is in place when Stop returns (this also makes
+// Correct safe from Transmit while the queue stops). On a queue whose
+// pacing goroutine is not running the adjustment is applied inline
+// (callers must then serialize with other direct Scheduler use, as with
+// Inspect). Unknown and removed classes are ignored.
 func (q *PacedQueue) Correct(class int, estimated, actual int64, crit Criterion) {
 	if estimated < 0 || actual < 0 || estimated == actual {
 		return
@@ -388,15 +396,13 @@ func (q *PacedQueue) Correct(class int, estimated, actual int64, crit Criterion)
 	q.corrMu.Lock()
 	q.corrQ = append(q.corrQ, correction{class, estimated, actual, crit})
 	q.corrPending.Store(true)
+	queued := q.corrLoop
 	q.corrMu.Unlock()
-	q.mu.Lock()
-	running := q.started && !q.stopped
-	q.mu.Unlock()
-	if running {
+	if queued {
 		q.kick()
 		return
 	}
-	q.done.Wait() // a stopped loop may still be winding down
+	q.done.Wait() // the loop has flushed; let it finish winding down
 	q.serveCorrections(Now(time.Now()))
 }
 
@@ -539,6 +545,9 @@ func (q *PacedQueue) loop() {
 	// corrections are flushed first so inspections see reconciled state.
 	defer q.serveInspect()
 	defer func() {
+		q.corrMu.Lock()
+		q.corrLoop = false // later Corrects apply inline
+		q.corrMu.Unlock()
 		if q.corrPending.Load() {
 			q.serveCorrections(Now(time.Now()))
 		}
@@ -932,7 +941,8 @@ func (q *PacedQueue) drainHW() int {
 // immediately instead of parking; otherwise (the link is busy) arrivals
 // are enqueued and the wait continues. Arrivals caught by the pre-park
 // drain are stamped with the caller's pass clock (nowNs) — no extra
-// time.Now(). Returns false on Stop.
+// time.Now(). A pending Inspect or Correct, checked after the flag store
+// for the same reason, returns at once. Returns false on Stop.
 func (q *PacedQueue) sleep(timer *time.Timer, d time.Duration, rings *intake.Queue, buf *[]*Packet, nowNs int64, bailOnArrival bool) bool {
 	if !timer.Stop() {
 		select {
@@ -947,6 +957,11 @@ func (q *PacedQueue) sleep(timer *time.Timer, d time.Duration, rings *intake.Que
 	}
 	q.idle.Store(true)
 	defer q.idle.Store(false)
+	// An Inspect or Correct whose kick ran before idle was set rang no
+	// doorbell; it is visible here instead, so serve it rather than park.
+	if q.inspectPending.Load() > 0 || q.corrPending.Load() {
+		return true
+	}
 	var drained int
 	*buf, drained = q.drainIntake(rings, *buf, nowNs, rings.Cap())
 	if bailOnArrival && drained > 0 {

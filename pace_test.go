@@ -324,3 +324,92 @@ func BenchmarkIntakeSubmit(b *testing.B) {
 		}
 	})
 }
+
+// TestPacedQueueInspectWakeup guards the idle park against a lost
+// wake-up: an Inspect whose doorbell check runs just before the pacing
+// goroutine sets its idle flag rings nothing, so the goroutine must see
+// the pending inspection itself before parking — otherwise the Inspect
+// waits out the park timer (up to an hour on an idle queue). Back-to-back
+// Inspects on an idle queue hit that window within a few thousand calls.
+func TestPacedQueueInspectWakeup(t *testing.T) {
+	s := hfsc.New(hfsc.Config{LinkRate: hfsc.Mbps})
+	if _, err := s.AddClass(nil, "c", hfsc.ClassConfig{LinkShare: hfsc.Linear(hfsc.Mbps)}); err != nil {
+		t.Fatal(err)
+	}
+	q, err := hfsc.NewPacedQueue(s, func(*hfsc.Packet) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Start()
+	defer q.Stop()
+	calls := 20000
+	if testing.Short() {
+		calls = 5000
+	}
+	watchdog := time.NewTimer(time.Hour)
+	defer watchdog.Stop()
+	done := make(chan struct{})
+	for i := 0; i < calls; i++ {
+		go func() {
+			q.Inspect(func(*hfsc.Scheduler) {})
+			done <- struct{}{}
+		}()
+		watchdog.Reset(2 * time.Second)
+		select {
+		case <-done:
+		case <-watchdog.C:
+			t.Fatalf("Inspect %d of %d did not return within 2s: lost wake-up", i+1, calls)
+		}
+		if !watchdog.Stop() {
+			<-watchdog.C
+		}
+	}
+}
+
+// TestPacedQueueCorrectFromTransmitDuringStop: a Transmit callback that
+// calls Correct while Stop is under way (hfscmw refunds an abandoned
+// admission this way when the Limiter closes) must not leave the pacing
+// goroutine waiting for its own exit; the correction is applied by the
+// loop's exit flush instead.
+func TestPacedQueueCorrectFromTransmitDuringStop(t *testing.T) {
+	s := hfsc.New(hfsc.Config{LinkRate: hfsc.Mbps})
+	cl, err := s.AddClass(nil, "c", hfsc.ClassConfig{LinkShare: hfsc.Linear(hfsc.Mbps)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var q *hfsc.PacedQueue
+	entered := make(chan struct{})
+	var once sync.Once
+	q, err = hfsc.NewPacedQueue(s, func(p *hfsc.Packet) {
+		once.Do(func() {
+			close(entered)
+			// Hold the pacing goroutine inside Transmit until Stop has
+			// begun (submits are then refused), then refund.
+			for q.Submit(&hfsc.Packet{Len: 100, Class: cl.ID()}) != hfsc.DropStopped {
+				time.Sleep(time.Millisecond)
+			}
+			q.Correct(cl.ID(), 1000, 0, hfsc.ByLinkShare)
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Start()
+	if r := q.Submit(&hfsc.Packet{Len: 1000, Class: cl.ID()}); r != hfsc.DropNone {
+		t.Fatalf("submit: %v", r)
+	}
+	<-entered
+	stopped := make(chan struct{})
+	go func() {
+		q.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop deadlocked: Correct from Transmit waited for the pacing goroutine")
+	}
+	if got := cl.Stats().TotalBytes; got != 0 {
+		t.Fatalf("refund not applied by the exit flush: class total %d bytes, want 0", got)
+	}
+}
