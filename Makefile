@@ -35,13 +35,13 @@ stress:
 	$(GO) test -race -count=3 -run='TestSixteenTenantRaceStress|TestSLOTieredAdmission' ./hfscmw/
 	$(GO) test -race -count=3 -run='TestCorrectCollectIdleRace|TestAuditVerdictCollectIdleRace' .
 
-# The backend conformance/bounds harness: every datapath (hfsc, auto,
-# hls, htb, wf2q, sfq) against the packet-level oracles — conservation
-# and per-class FIFO on randomized hierarchies/traces, work conservation
-# on a saturating burst, the paper's Fig. 2/3 link-sharing shapes against
-# the fluid reference, and real-time delay bounds against the
-# network-calculus envelope (with the non-guaranteeing backends required
-# to refuse the hierarchy).
+# The datapath conformance/bounds harness: the H-FSC core (BackendHFSC)
+# and the HLS fast path (via BackendAuto on link-sharing-only trees)
+# against the packet-level oracles — conservation and per-class FIFO on
+# randomized hierarchies/traces, work conservation on a saturating burst,
+# the paper's Fig. 2/3 link-sharing shapes against the fluid reference,
+# and real-time delay bounds against the network-calculus envelope (with
+# BackendAuto required to hand real-time hierarchies to the core).
 conformance:
 	$(GO) test -count=1 -run='TestConformance' ./internal/conformance/
 

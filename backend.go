@@ -1,21 +1,18 @@
 package hfsc
 
 import (
-	"errors"
-	"fmt"
-
-	"github.com/netsched/hfsc/internal/backend"
 	"github.com/netsched/hfsc/internal/core"
 	"github.com/netsched/hfsc/internal/curve"
-	"github.com/netsched/hfsc/internal/pfq"
+	"github.com/netsched/hfsc/internal/hls"
 )
 
 // BackendKind selects the scheduler datapath behind the public API. The
 // H-FSC core is always present as the class registry — names, ids,
-// templates, admission control and introspection are identical across
-// backends — but the packet path (enqueue, selection, dequeue) can run on
-// a cheaper scheduler when the hierarchy does not use the guarantees only
-// H-FSC carries. See README "Choosing a backend" and DESIGN.md §5i.
+// templates, admission control and introspection are identical under
+// either kind — but under BackendAuto the packet path (enqueue, selection,
+// dequeue) runs on a hierarchical round-robin fast path while the
+// hierarchy uses none of the guarantees only H-FSC carries. See README
+// "Choosing a backend" and DESIGN.md §5i.
 type BackendKind int
 
 const (
@@ -30,121 +27,83 @@ const (
 	// class while link-sharing traffic is in flight fails with
 	// ErrBackendBusy (retry when the queue drains).
 	BackendAuto
-	// BackendHLS runs the hierarchical round-robin fast path
-	// unconditionally: near-O(1) per packet, hierarchical weighted
-	// fairness and work conservation only. Classes with real-time or
-	// upper-limit curves are refused with ErrBackendCapability.
-	BackendHLS
-	// BackendHTB runs the hierarchical token-bucket datapath: each
-	// class's assured rate is its link-sharing curve's long-term slope,
-	// its hard cap the upper-limit curve's. No real-time curves.
-	BackendHTB
-	// BackendWF2Q runs hierarchical WF2Q+ (the paper's H-PFQ baseline):
-	// weighted fairness on a static hierarchy — no class removal or
-	// re-curving, no real-time or upper-limit curves.
-	BackendWF2Q
-	// BackendSFQ runs hierarchical start-time fair queueing; same
-	// constraints as BackendWF2Q.
-	BackendSFQ
 )
 
-// String returns the backend's short name as used in bench rows and the
-// conformance harness.
+// String returns the kind's short name ("hfsc" or "auto").
 func (k BackendKind) String() string {
-	switch k {
-	case BackendAuto:
+	if k == BackendAuto {
 		return "auto"
-	case BackendHLS:
-		return "hls"
-	case BackendHTB:
-		return "htb"
-	case BackendWF2Q:
-		return "wf2q"
-	case BackendSFQ:
-		return "sfq"
-	default:
-		return "hfsc"
-	}
-}
-
-// Backend reports the datapath currently serving packets: the configured
-// backend's name, or the current pick ("hls" or "hfsc") under BackendAuto.
-func (s *Scheduler) Backend() string {
-	if s.be != nil {
-		return s.be.Kind()
 	}
 	return "hfsc"
 }
 
-// newBackend instantiates the datapath for a kind; nil means the core.
-func newBackend(kind BackendKind, qlimit int) backend.Backend {
-	switch kind {
-	case BackendHLS, BackendAuto:
-		return backend.NewHLS(qlimit)
-	case BackendHTB:
-		return backend.NewHTB(qlimit)
-	case BackendWF2Q:
-		return backend.NewPFQ(pfq.WF2Q, qlimit)
-	case BackendSFQ:
-		return backend.NewPFQ(pfq.SFQ, qlimit)
-	default:
+// Backend reports the datapath currently serving packets: "hls" while the
+// BackendAuto fast path runs, "hfsc" otherwise.
+func (s *Scheduler) Backend() string {
+	if s.fast != nil {
+		return "hls"
+	}
+	return "hfsc"
+}
+
+// needsCore reports whether a class's curves demand guarantees only the
+// H-FSC core carries: a real-time or upper-limit curve.
+func needsCore(rsc, usc curve.SC) bool { return !rsc.IsZero() || !usc.IsZero() }
+
+// hlsWeight reduces a link-sharing curve to the fast path's fair-share
+// weight: the long-term slope, falling back to the first segment's slope
+// for one-piece curves that only set M1. hls refuses a zero weight.
+func hlsWeight(fsc curve.SC) int64 {
+	if fsc.M2 > 0 {
+		return int64(fsc.M2)
+	}
+	return int64(fsc.M1)
+}
+
+// fastAddClass mirrors a freshly created core class into the fast path,
+// rolling the core add back on refusal. A class the fast path cannot
+// carry flips the scheduler onto the core, which is only admissible while
+// no packets are queued.
+func (s *Scheduler) fastAddClass(c *core.Class, parentID int, cfg ClassConfig) error {
+	if s.fast == nil {
 		return nil
 	}
-}
-
-// specOf converts a public class configuration to the backend form.
-func specOf(cfg ClassConfig) backend.ClassSpec {
-	return backend.ClassSpec{
-		RSC:        cfg.RealTime,
-		FSC:        cfg.LinkShare,
-		USC:        cfg.UpperLimit,
-		QueueLimit: cfg.QueueLimit,
-	}
-}
-
-// needsCore reports whether a class configuration demands guarantees only
-// the H-FSC core carries, given the backend's capability claim.
-func needsCore(be backend.Backend, rsc, usc curve.SC) bool {
-	caps := be.Caps()
-	if !rsc.IsZero() && !caps.Has(backend.CapRealTime) {
-		return true
-	}
-	if !usc.IsZero() && !caps.Has(backend.CapUpperLimit) {
-		return true
-	}
-	return false
-}
-
-// beAddClass mirrors a freshly created core class into the active
-// backend, rolling the core add back on refusal. Under BackendAuto it
-// first re-resolves the datapath: a class the fast path cannot carry
-// flips the scheduler onto the core, which is only admissible while no
-// packets are queued.
-func (s *Scheduler) beAddClass(c *core.Class, parentID int, cfg ClassConfig) error {
-	if s.be == nil {
-		return nil
-	}
-	if needsCore(s.be, cfg.RealTime, cfg.UpperLimit) {
-		if !s.auto {
-			err := fmt.Errorf("%w (backend %s)", ErrBackendCapability, s.be.Kind())
-			s.core.RemoveClass(c)
-			return err
-		}
-		if s.be.Backlog() > 0 {
+	if needsCore(cfg.RealTime, cfg.UpperLimit) {
+		if s.fast.Backlog() > 0 {
 			s.core.RemoveClass(c)
 			return ErrBackendBusy
 		}
-		s.be = nil // switch to the core datapath; nothing queued to move
+		s.fast = nil // switch to the core datapath; nothing queued to move
 		return nil
 	}
-	err := s.be.AddClass(c.ID(), parentID, c.Name(), specOf(cfg))
-	if err != nil {
+	if err := addFast(s.fast, c.ID(), parentID, cfg.LinkShare, cfg.QueueLimit); err != nil {
 		s.core.RemoveClass(c)
-		if errors.Is(err, backend.ErrCapability) {
-			err = fmt.Errorf("%w (backend %s)", ErrBackendCapability, s.be.Kind())
-		}
+		return err
 	}
-	return err
+	return nil
+}
+
+// addFast creates one class on the fast path.
+func addFast(f *hls.Sched, id, parentID int, fsc curve.SC, qlimit int) error {
+	if err := f.AddClass(id, parentID, hlsWeight(fsc)); err != nil {
+		return err
+	}
+	if qlimit > 0 {
+		f.SetQueueLimit(id, qlimit)
+	}
+	return nil
+}
+
+// fastSetCurves re-weights a class on the fast path; only the weight and
+// the queue limit can move there.
+func (s *Scheduler) fastSetCurves(id int, cfg ClassConfig) error {
+	if err := s.fast.SetWeight(id, hlsWeight(cfg.LinkShare)); err != nil {
+		return err
+	}
+	if cfg.QueueLimit > 0 {
+		s.fast.SetQueueLimit(id, cfg.QueueLimit)
+	}
+	return nil
 }
 
 // autoResolve re-picks the datapath under BackendAuto after a hierarchy
@@ -154,80 +113,87 @@ func (s *Scheduler) beAddClass(c *core.Class, parentID int, cfg ClassConfig) err
 // the core→HLS direction, a replay of the registry into a fresh ring
 // structure.
 func (s *Scheduler) autoResolve() {
-	if !s.auto {
+	if s.cfg.Backend != BackendAuto {
 		return
 	}
 	if s.nonLS == 0 {
-		if s.be == nil && s.core.Backlog() == 0 {
-			s.be = s.rebuildFastPath()
+		if s.fast == nil && s.core.Backlog() == 0 {
+			s.fast = s.rebuildFastPath()
 		}
 		return
 	}
-	if s.be != nil && s.be.Backlog() == 0 {
-		s.be = nil
+	if s.fast != nil && s.fast.Backlog() == 0 {
+		s.fast = nil
 	}
 }
 
-// rebuildFastPath replays the registry into a fresh HLS backend; the
+// rebuildFastPath replays the registry into a fresh HLS scheduler; the
 // caller has verified the hierarchy is pure link-sharing and idle.
-func (s *Scheduler) rebuildFastPath() backend.Backend {
-	be := backend.NewHLS(s.cfg.DefaultQueueLimit)
+func (s *Scheduler) rebuildFastPath() *hls.Sched {
+	f := hls.New(s.cfg.DefaultQueueLimit)
 	for _, c := range s.core.Classes() {
 		if c == s.core.Root() {
 			continue
 		}
-		spec := backend.ClassSpec{FSC: c.FSC(), QueueLimit: c.QueueLimit()}
-		if err := be.AddClass(c.ID(), c.Parent().ID(), c.Name(), spec); err != nil {
+		if err := addFast(f, c.ID(), c.Parent().ID(), c.FSC(), c.QueueLimit()); err != nil {
 			// A registry class the fast path cannot host (should be
 			// excluded by nonLS accounting): stay on the core.
 			return nil
 		}
 	}
-	return be
+	return f
 }
 
 // countCurved tracks classes carrying curves beyond link-sharing, the
 // quantity BackendAuto switches on.
 func (s *Scheduler) countCurved(rsc, usc curve.SC, delta int) {
-	if !rsc.IsZero() || !usc.IsZero() {
+	if needsCore(rsc, usc) {
 		s.nonLS += delta
 	}
 }
 
 // correctByID is the id-addressed Correct shared by Scheduler.Correct and
 // the PacedQueue correction drain: it resolves the class against the
-// registry and routes the reconciliation to whichever datapath served the
-// item. Backends without cost reconciliation (everything but the core)
-// absorb the correction as a no-op — their schedules are not anchored on
-// cumulative curves, so there is no account to fix.
+// registry and routes the reconciliation to the core. The fast path
+// absorbs corrections as a no-op: its round-robin schedule is not
+// anchored on cumulative curves, so there is no account to fix.
 func (s *Scheduler) correctByID(class int, estimated, actual int64, crit Criterion, now int64) int64 {
 	cl := s.core.ClassByID(class)
 	if cl == nil || !cl.IsLeaf() || cl == s.core.Root() {
 		return 0
 	}
-	if estimated < 0 || actual < 0 {
-		return 0
-	}
-	if s.be != nil {
-		if c, ok := s.be.(backend.Corrector); ok {
-			return c.Correct(class, estimated, actual, crit, now)
-		}
+	if estimated < 0 || actual < 0 || s.fast != nil {
 		return 0
 	}
 	return s.core.Correct(cl, estimated, actual, crit, now)
 }
 
-// beLeafActivity reports a leaf's activity mark (lifetime sent+dropped)
-// and queue length from whichever datapath holds its packets, summed with
-// the core's counters so marks stay monotone across BackendAuto switches.
-func (s *Scheduler) beLeafActivity(c *core.Class) (mark uint64, queued int) {
-	mark = c.SentPackets() + c.Dropped()
-	queued = c.QueueLen()
-	if s.be != nil {
-		if st, ok := s.be.Stats(c.ID()); ok {
-			mark += st.SentPackets + st.Dropped
-			queued += st.Queued
+// classStats reports a class's counters with the fast path's folded in,
+// so totals stay meaningful and monotone across BackendAuto switches. As
+// on the core, TotalBytes covers a class's whole subtree, while the
+// per-criterion split is kept at leaves (all fast-path service is
+// link-sharing work).
+func (s *Scheduler) classStats(c *core.Class) ClassStats {
+	st := ClassStats{
+		TotalBytes:     c.Total(),
+		RealTimeBytes:  c.RealTimeWork(),
+		LinkShareBytes: c.LinkShareWork(),
+		SentPackets:    c.SentPackets(),
+		QueuedPackets:  c.QueueLen(),
+		QueuedBytes:    c.QueueBytes(),
+		Dropped:        c.Dropped(),
+	}
+	if s.fast != nil {
+		if f, ok := s.fast.Stats(c.ID()); ok {
+			st.QueuedPackets += f.Queued
+			st.QueuedBytes += f.QueuedBytes
+			st.SentPackets += f.Sent
+			st.Dropped += f.Dropped
+			st.TotalBytes += f.Work
+			if c.IsLeaf() {
+				st.LinkShareBytes += f.Work
+			}
 		}
 	}
-	return mark, queued
+	return st
 }

@@ -10,11 +10,11 @@ func backendPkt(class, length int) *Packet {
 	return &Packet{Class: class, Len: length}
 }
 
-// TestBackendHLSFairness: the HLS datapath behind the public API serves
-// link-sharing weights fairly and keeps the registry view (names, Stats)
-// working.
+// TestBackendHLSFairness: the HLS datapath BackendAuto runs on a
+// link-sharing-only tree serves link-sharing weights fairly and keeps the
+// registry view (names, Stats) working.
 func TestBackendHLSFairness(t *testing.T) {
-	s := New(Config{Backend: BackendHLS})
+	s := New(Config{Backend: BackendAuto})
 	if got := s.Backend(); got != "hls" {
 		t.Fatalf("Backend() = %q, want hls", got)
 	}
@@ -57,35 +57,51 @@ func TestBackendHLSFairness(t *testing.T) {
 	if st.QueuedPackets != 4000-served[a.ID()] {
 		t.Errorf("Stats.QueuedPackets = %d, want %d", st.QueuedPackets, 4000-served[a.ID()])
 	}
+	if want := int64(1000 * (4000 - served[a.ID()])); st.QueuedBytes != want {
+		t.Errorf("Stats.QueuedBytes = %d, want %d", st.QueuedBytes, want)
+	}
 	if s.Backlog() != 8000-4000 {
 		t.Errorf("Backlog = %d, want 4000", s.Backlog())
 	}
 }
 
-// TestBackendHLSRefusesRealTime: a class needing guarantees the fast path
-// cannot carry is refused with the capability sentinel and leaves no
-// half-registered state behind.
+// TestBackendHLSRefusesRealTime: while the fast path holds packets, a
+// class needing guarantees it cannot carry is refused with ErrBackendBusy
+// and leaves no half-registered state behind.
 func TestBackendHLSRefusesRealTime(t *testing.T) {
-	s := New(Config{Backend: BackendHLS})
+	s := New(Config{Backend: BackendAuto})
 	rt, err := ForRealTime(1500, 10*time.Millisecond, 2*Mbps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.AddClass(nil, "rt", ClassConfig{RealTime: rt, LinkShare: Linear(2 * Mbps)})
-	if !errors.Is(err, ErrBackendCapability) {
-		t.Fatalf("err = %v, want ErrBackendCapability", err)
-	}
-	if s.Class("rt") != nil || len(s.Classes()) != 1 {
-		t.Fatal("refused class leaked into the registry")
-	}
-	// Same for gaining a curve via SetCurves.
 	ls, err := s.AddClass(nil, "ls", ClassConfig{LinkShare: Linear(1 * Mbps)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if r := s.Offer(backendPkt(ls.ID(), 1000), 0); r != DropNone {
+		t.Fatalf("offer: %v", r)
+	}
+	_, err = s.AddClass(nil, "rt", ClassConfig{RealTime: rt, LinkShare: Linear(2 * Mbps)})
+	if !errors.Is(err, ErrBackendBusy) {
+		t.Fatalf("err = %v, want ErrBackendBusy", err)
+	}
+	if s.Class("rt") != nil || len(s.Classes()) != 2 {
+		t.Fatal("refused class leaked into the registry")
+	}
+	if _, ok := s.ClassID("rt"); ok {
+		t.Fatal("refused class leaked into the lock-free name registry")
+	}
+	// Same for gaining a curve via SetCurves: the class keeps its curves
+	// and the fast path keeps serving it.
 	err = s.SetCurves(ls, ClassConfig{RealTime: rt, LinkShare: Linear(1 * Mbps)}, 0)
-	if !errors.Is(err, ErrBackendCapability) {
-		t.Fatalf("SetCurves err = %v, want ErrBackendCapability", err)
+	if !errors.Is(err, ErrBackendBusy) {
+		t.Fatalf("SetCurves err = %v, want ErrBackendBusy", err)
+	}
+	if got := s.Backend(); got != "hls" {
+		t.Fatalf("Backend() after refusals = %q, want hls", got)
+	}
+	if p := s.Dequeue(0); p == nil || p.Class != ls.ID() {
+		t.Fatal("fast path lost the queued packet")
 	}
 }
 
@@ -168,79 +184,82 @@ func TestBackendAutoSwitches(t *testing.T) {
 	}
 }
 
-// TestBackendHTBCeil: the HTB datapath honors upper-limit curves as hard
-// caps and reports readiness via NextReady.
+// TestBackendHTBCeil: HTB's rate/ceil configuration, expressed on the
+// default core as a link-sharing plus an upper-limit curve, caps service
+// at the ceil, and NextReady stays usable while the capped queue is
+// backlogged — for a capped leaf, and for uncapped leaves under a capped
+// parent.
 func TestBackendHTBCeil(t *testing.T) {
-	s := New(Config{Backend: BackendHTB})
-	if got := s.Backend(); got != "htb" {
-		t.Fatalf("Backend() = %q, want htb", got)
-	}
-	c, err := s.AddClass(nil, "capped", ClassConfig{
-		LinkShare:  Linear(10 * Mbps),
-		UpperLimit: Linear(20 * Mbps),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5000; i++ {
-		s.Offer(backendPkt(c.ID(), 1000), 0)
-	}
-	var served int64
-	now := int64(0)
-	for now < 100_000_000 { // 100 ms
-		p := s.Dequeue(now)
-		if p == nil {
-			next, ok := s.NextReady(now)
-			if !ok || next <= now {
-				t.Fatalf("backlogged with no usable NextReady at %d", now)
+	cases := []struct {
+		name  string
+		build func(s *Scheduler) ([]*Class, error)
+	}{
+		{"leaf", func(s *Scheduler) ([]*Class, error) {
+			c, err := s.AddClass(nil, "capped", ClassConfig{
+				LinkShare:  Linear(10 * Mbps),
+				UpperLimit: Linear(20 * Mbps),
+			})
+			return []*Class{c}, err
+		}},
+		{"parent", func(s *Scheduler) ([]*Class, error) {
+			p, err := s.AddClass(nil, "capped", ClassConfig{
+				LinkShare:  Linear(10 * Mbps),
+				UpperLimit: Linear(20 * Mbps),
+			})
+			if err != nil {
+				return nil, err
 			}
-			now = next
-			continue
-		}
-		served += int64(p.Len)
+			a, err := s.AddClass(p, "a", ClassConfig{LinkShare: Linear(5 * Mbps)})
+			if err != nil {
+				return nil, err
+			}
+			b, err := s.AddClass(p, "b", ClassConfig{LinkShare: Linear(5 * Mbps)})
+			return []*Class{a, b}, err
+		}},
 	}
-	// 20 Mbps = 2.5 MB/s → 250 KB in 100 ms, plus the 2 ms burst bucket.
-	if served > 260_000 {
-		t.Errorf("ceil violated: %d bytes in 100ms", served)
-	}
-	if served < 220_000 {
-		t.Errorf("capped class starved: %d bytes in 100ms", served)
-	}
-}
-
-// TestBackendStaticRefusals: WF2Q/SFQ hierarchies are fixed after
-// construction.
-func TestBackendStaticRefusals(t *testing.T) {
-	for _, kind := range []BackendKind{BackendWF2Q, BackendSFQ} {
-		s := New(Config{Backend: kind})
-		if got := s.Backend(); got != kind.String() {
-			t.Fatalf("Backend() = %q, want %q", got, kind)
-		}
-		c, err := s.AddClass(nil, "x", ClassConfig{LinkShare: Linear(1 * Mbps)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.RemoveClass(c); !errors.Is(err, ErrBackendStatic) {
-			t.Fatalf("%v RemoveClass err = %v, want ErrBackendStatic", kind, err)
-		}
-		if err := s.SetCurves(c, ClassConfig{LinkShare: Linear(2 * Mbps)}, 0); !errors.Is(err, ErrBackendStatic) {
-			t.Fatalf("%v SetCurves err = %v, want ErrBackendStatic", kind, err)
-		}
-		// The datapath itself works.
-		if r := s.Offer(backendPkt(c.ID(), 500), 0); r != DropNone {
-			t.Fatalf("offer: %v", r)
-		}
-		if p := s.Dequeue(0); p == nil || p.Class != c.ID() {
-			t.Fatal("dequeue failed")
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{})
+			if got := s.Backend(); got != "hfsc" {
+				t.Fatalf("Backend() = %q, want hfsc", got)
+			}
+			leaves, err := tc.build(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5000; i++ {
+				s.Offer(backendPkt(leaves[i%len(leaves)].ID(), 1000), 0)
+			}
+			var served int64
+			now := int64(0)
+			for now < 100_000_000 { // 100 ms
+				p := s.Dequeue(now)
+				if p == nil {
+					next, ok := s.NextReady(now)
+					if !ok || next <= now {
+						t.Fatalf("backlogged with no usable NextReady at %d", now)
+					}
+					now = next
+					continue
+				}
+				served += int64(p.Len)
+			}
+			// 20 Mbps = 2.5 MB/s → 250 KB in 100 ms, plus the packet in flight.
+			if served > 260_000 {
+				t.Errorf("ceil violated: %d bytes in 100ms", served)
+			}
+			if served < 220_000 {
+				t.Errorf("capped class starved: %d bytes in 100ms", served)
+			}
+		})
 	}
 }
 
 // TestBackendLifecycle: template auto-create and idle collection work on
-// the fast path — activity marks come from backend counters.
+// the fast path — activity marks come from its counters.
 func TestBackendLifecycle(t *testing.T) {
 	s := New(Config{
-		Backend: BackendHLS,
+		Backend: BackendAuto,
 		AutoClass: &ClassTemplate{
 			Class: ClassConfig{LinkShare: Linear(1 * Mbps)},
 			Grace: 10 * time.Millisecond,
@@ -274,8 +293,8 @@ func TestBackendLifecycle(t *testing.T) {
 	if s.Class("tenant-1") != nil {
 		t.Fatal("collected class still resolvable")
 	}
-	// Metrics snapshot path stays functional under a backend.
-	s2 := New(Config{Backend: BackendHLS, Metrics: true})
+	// Metrics snapshot path stays functional on the fast path.
+	s2 := New(Config{Backend: BackendAuto, Metrics: true})
 	c2, _ := s2.AddClass(nil, "m", ClassConfig{LinkShare: Linear(1 * Mbps)})
 	s2.Offer(backendPkt(c2.ID(), 700), 0)
 	s2.Dequeue(0)
@@ -286,5 +305,63 @@ func TestBackendLifecycle(t *testing.T) {
 	cs := c2.Metrics()
 	if cs.SentPacketsLS != 1 || cs.EnqueuedPackets != 1 {
 		t.Fatalf("metrics sentLS=%d enq=%d, want 1/1", cs.SentPacketsLS, cs.EnqueuedPackets)
+	}
+}
+
+// TestBackendAutoIntrospection: on the fast path, Class.Stats and DumpTree
+// count the packets HLS holds and has served exactly as the core path
+// counts the same traffic — leaves and, for subtree totals, their parent
+// and the root.
+func TestBackendAutoIntrospection(t *testing.T) {
+	type counters struct {
+		total, ls        int64
+		sent             uint64
+		queued           int
+		queuedBytes      int64
+		statsQueuedBytes int64
+		statsQueued      int
+	}
+	run := func(kind BackendKind) map[string]counters {
+		s := New(Config{Backend: kind})
+		p, err := s.AddClass(nil, "p", ClassConfig{LinkShare: Linear(2 * Mbps)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := s.AddClass(p, "a", ClassConfig{LinkShare: Linear(1 * Mbps)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if r := s.Offer(backendPkt(a.ID(), 1000), 0); r != DropNone {
+				t.Fatalf("%v offer: %v", kind, r)
+			}
+		}
+		if p := s.Dequeue(0); p == nil {
+			t.Fatalf("%v: nil dequeue with backlog", kind)
+		}
+		out := map[string]counters{}
+		for _, row := range s.DumpTree().Shards[0].Classes {
+			c := counters{total: row.TotalBytes, ls: row.LinkShareBytes, sent: row.SentPackets,
+				queued: row.QueuedPackets, queuedBytes: row.QueuedBytes}
+			if cl := s.Class(row.Name); cl != nil {
+				st := cl.Stats()
+				c.statsQueued, c.statsQueuedBytes = st.QueuedPackets, st.QueuedBytes
+			}
+			out[row.Name] = c
+		}
+		return out
+	}
+	core, fast := run(BackendHFSC), run(BackendAuto)
+	want := counters{total: 1000, ls: 1000, sent: 1, queued: 2, queuedBytes: 2000, statsQueuedBytes: 2000, statsQueued: 2}
+	if core["a"] != want {
+		t.Fatalf("core leaf counters = %+v, want %+v", core["a"], want)
+	}
+	if len(fast) != len(core) {
+		t.Fatalf("fast path DumpTree has %d rows, core %d", len(fast), len(core))
+	}
+	for name, c := range core {
+		if fast[name] != c {
+			t.Errorf("class %q: fast path counters %+v, core %+v", name, fast[name], c)
+		}
 	}
 }

@@ -35,20 +35,11 @@ var (
 	// (RemoveClass/SetCurves/Correct by name on PacedQueue and MultiQueue)
 	// when no live class has that name.
 	ErrUnknownClass = errors.New("hfsc: unknown class name")
-	// ErrBackendCapability is returned by AddClass and SetCurves when the
-	// class needs a guarantee (real-time or upper-limit curve) the
-	// configured backend does not carry — e.g. a RealTime curve under
-	// BackendHLS. Use BackendHFSC or BackendAuto for such hierarchies.
-	ErrBackendCapability = errors.New("hfsc: class needs guarantees the backend does not provide")
 	// ErrBackendBusy is returned under BackendAuto when a hierarchy change
 	// would force a datapath switch (e.g. the first real-time class
 	// arriving while the fast path holds packets): switches happen only on
 	// an idle scheduler. Drain and retry.
 	ErrBackendBusy = errors.New("hfsc: backend switch requires an idle scheduler")
-	// ErrBackendStatic is returned by RemoveClass and SetCurves under a
-	// backend whose hierarchy is fixed after construction (BackendWF2Q,
-	// BackendSFQ).
-	ErrBackendStatic = errors.New("hfsc: backend hierarchy is static")
 	// ErrNonConcaveCurve is returned by DelayBound when the real-time curve
 	// is convex (M1 < M2 with a non-zero D): Theorem 1's delay bound — and
 	// SCED schedulability generally — assumes concave service curves.

@@ -1,19 +1,21 @@
-// Package conformance is the backend conformance/bounds harness: it
-// drives every scheduler backend through the same randomized hierarchies
-// and arrival traces and checks the properties each backend claims
-// (backend.Caps) against packet-level oracles —
+// Package conformance is the datapath conformance/bounds harness: it
+// drives both datapaths — the H-FSC core (BackendHFSC) and, through
+// BackendAuto on link-sharing-only trees, the HLS fast path — through
+// the same randomized hierarchies and arrival traces and checks them
+// against packet-level oracles —
 //
 //   - conservation and per-class FIFO, always: every accepted packet
 //     departs exactly once, in arrival order within its class;
-//   - work conservation, for backends claiming it: a saturating burst
-//     drains in exactly the link's busy period;
+//   - work conservation: a saturating burst drains in exactly the link's
+//     busy period;
 //   - link-sharing fairness, against the fluid-flow reference of
 //     internal/fluid: cumulative per-leaf service tracks the idealized
 //     model within a packetization tolerance (the paper's Fig. 2/3
 //     shapes);
-//   - delay bounds, for backends claiming real-time guarantees: observed
-//     per-packet delay never exceeds the network-calculus bound computed
-//     by internal/netcalc from the empirical arrival envelope.
+//   - delay bounds, on real-time hierarchies (which BackendAuto must
+//     hand to the core): observed per-packet delay never exceeds the
+//     network-calculus bound computed by internal/netcalc from the
+//     empirical arrival envelope.
 //
 // The harness runs from `make conformance` (and CI); the randomized
 // cases are seeded, so failures reproduce.
@@ -31,7 +33,7 @@ import (
 )
 
 // Node is one class in a hierarchy spec: an index-addressed tree so the
-// same spec can be replayed into any backend (or the fluid simulator).
+// same spec can be replayed into either datapath (or the fluid simulator).
 type Node struct {
 	Parent int // index into Hierarchy.Nodes; -1 = link root
 	// Weight is the link-sharing rate (bytes/s). All specs carry one.
@@ -229,8 +231,8 @@ func CheckAgainstFluid(got map[int]int64, ids []int, fcls []*fluid.Class, leaves
 
 // CheckDelayBounds verifies, for each class carrying a real-time curve,
 // that no packet's observed delay exceeded the network-calculus bound
-// derived from its empirical arrival envelope — the guarantee a backend
-// claiming CapRealTime must honor.
+// derived from its empirical arrival envelope — Theorem 2's real-time
+// guarantee.
 func CheckDelayBounds(h *Hierarchy, ids []int, trace []sim.Arrival, res *sim.Result, linkRate uint64, lmax int) error {
 	byClass := map[int][]sim.Arrival{}
 	for _, a := range trace {

@@ -16,8 +16,9 @@
 // The trade against H-FSC is explicit: HLS carries no real-time curves
 // (no per-packet deadlines, delay coupled to the hierarchy like H-PFQ)
 // and no upper limits; what it guarantees is hierarchical weighted
-// fairness and work conservation. The backend wrapper therefore only
-// admits pure link-sharing hierarchies onto it.
+// fairness and work conservation. The public Scheduler therefore runs it
+// only under BackendAuto, and only while no class carries a real-time or
+// upper-limit curve.
 package hls
 
 import (
@@ -54,8 +55,8 @@ type node struct {
 	minW     int64 // smallest child weight, normalizes sibling quanta
 
 	fifo pktq.FIFO // leaves only
-	sent uint64
-	work int64
+	sent uint64    // leaves only
+	work int64     // cost served in the node's subtree
 }
 
 func (n *node) leaf() bool { return n.children == 0 }
@@ -293,12 +294,13 @@ func (s *Sched) Dequeue(now int64) *pktq.Packet {
 	cost := p.Work()
 	p.Crit = pktq.ByLinkShare
 	n.sent++
-	n.work += cost
+	s.nodes[0].work += cost
 	// Every node on the served path is the in-turn child of its parent;
 	// charge each and settle its turn bottom-up (a drained child must be
 	// detached before its parent's activity is judged).
 	for c := n; c.parent != nil; c = c.parent {
 		par := c.parent
+		c.work += cost
 		c.deficit -= cost
 		if !c.active() {
 			s.deactivate(par, c)
@@ -321,14 +323,30 @@ func (s *Sched) DequeueN(now int64, max int, out []*pktq.Packet) []*pktq.Packet 
 	return out
 }
 
-// LeafStats reports a leaf's counters: queue length, lifetime packets
-// sent and dropped, and cumulative cost served.
-func (s *Sched) LeafStats(id int) (queued int, sent, dropped uint64, work int64, ok bool) {
+// Stats is one class's counters. Only Work is non-zero for interior
+// classes and the root.
+type Stats struct {
+	Queued      int    // packets queued
+	QueuedBytes int64  // cost units queued
+	Sent        uint64 // packets dequeued over the class's lifetime
+	Dropped     uint64 // packets refused by the queue limit
+	Work        int64  // cumulative cost units served in the subtree
+}
+
+// Stats reports a class's counters (id 0 is the root); ok is false for
+// unknown or removed ids.
+func (s *Sched) Stats(id int) (st Stats, ok bool) {
 	n := s.node(id)
-	if n == nil || n.parent == nil {
-		return 0, 0, 0, 0, false
+	if n == nil {
+		return Stats{}, false
 	}
-	return n.fifo.Len(), n.sent, n.fifo.Dropped(), n.work, true
+	return Stats{
+		Queued:      n.fifo.Len(),
+		QueuedBytes: n.fifo.Bytes(),
+		Sent:        n.sent,
+		Dropped:     n.fifo.Dropped(),
+		Work:        n.work,
+	}, true
 }
 
 // CheckInvariants validates ring and activity structure; nil when sound.

@@ -85,10 +85,6 @@ func (n *Node) QueueLen() int { return n.fifo.Len() }
 // Dropped returns the number of packets rejected at this leaf.
 func (n *Node) Dropped() uint64 { return n.fifo.Dropped() }
 
-// SetQueueLimit bounds this leaf's queue in packets (0 = unlimited),
-// overriding the hierarchy-wide default.
-func (n *Node) SetQueueLimit(limit int) { n.fifo.PktLimit = limit }
-
 func fLess(a, b *Node) bool {
 	if a.f != b.f {
 		return a.f < b.f

@@ -163,8 +163,9 @@ func (s *Scheduler) CollectIdle(now int64) int {
 	n := 0
 	for id, e := range s.lc {
 		c := e.cl.c
-		mark, queued := s.beLeafActivity(c)
-		if queued > 0 || mark != e.seen {
+		st := s.classStats(c)
+		mark := st.SentPackets + st.Dropped
+		if st.QueuedPackets > 0 || mark != e.seen {
 			e.seen = mark
 			e.idleSince = now
 			continue

@@ -65,8 +65,8 @@ func (s *Scheduler) Offer(p *Packet, now int64) DropReason {
 		}
 		return DropUnknownClass
 	}
-	if s.be != nil {
-		if !s.be.Enqueue(p, now) {
+	if s.fast != nil {
+		if !s.fast.Enqueue(p, now) {
 			if s.tracer != nil {
 				s.tracer.Trace(core.EvDrop, cl, p, now, int64(core.DropQueueLimit))
 			}

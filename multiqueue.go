@@ -207,10 +207,7 @@ func (c *MultiClass) Parent() *MultiClass {
 		return nil
 	}
 	sh.idMu.Lock()
-	gid := -1
-	if p.ID() < len(sh.globalOf) {
-		gid = sh.globalOf[p.ID()]
-	}
+	gid := globalID(sh.globalOf, p.ID())
 	sh.idMu.Unlock()
 	return c.mq.table.get(gid)
 }
@@ -291,11 +288,7 @@ func NewMultiQueue(cfg MultiConfig, transmit func(*Packet)) (*MultiQueue, error)
 				return
 			}
 			// Pacing goroutine: globalOf needs no lock here.
-			if g := sh.globalOf; p.Class >= 0 && p.Class < len(g) {
-				p.Class = g[p.Class]
-			} else {
-				p.Class = -1
-			}
+			p.Class = globalID(sh.globalOf, p.Class)
 			cb(p, r)
 		}
 		q.IntakeShards = cfg.IntakeShards
@@ -887,21 +880,7 @@ func (m *MultiQueue) Snapshot() *Snapshot {
 	for i, sh := range m.shards {
 		snaps[i] = sh.q.Snapshot()
 	}
-	// Copy each shard's id map under its lock once, not per remap call:
-	// the pacing goroutines may be growing them concurrently.
-	maps := make([][]int, len(m.shards))
-	for i, sh := range m.shards {
-		sh.idMu.Lock()
-		maps[i] = append([]int(nil), sh.globalOf...)
-		sh.idMu.Unlock()
-	}
-	remap := func(shard, id int) (int, bool) {
-		g := maps[shard]
-		if id < 0 || id >= len(g) || g[id] < 0 {
-			return 0, false
-		}
-		return g[id], true
-	}
+	remap := m.globalIDs().remap
 	merged := metrics.MergeSnapshots(snaps, remap)
 	merged.DropsUnknownClass += m.dropUnknown.Load()
 	// The per-shard audit verdicts merge the same way: disjoint classes
@@ -929,19 +908,44 @@ func (m *MultiQueue) AuditSnapshot() *AuditSnapshot {
 	for i, sh := range m.shards {
 		snaps[i] = sh.q.AuditSnapshot()
 	}
-	maps := make([][]int, len(m.shards))
+	return audit.Merge(snaps, m.globalIDs().remap)
+}
+
+// shardIDMaps is a copy of every shard's local→global class id map.
+type shardIDMaps [][]int
+
+// globalIDs copies each shard's id map under its idMu, once per reader
+// rather than per lookup: the pacing goroutines may be growing the maps
+// concurrently. Take the copy after the per-shard data it will remap, so
+// every id in that data is covered.
+func (m *MultiQueue) globalIDs() shardIDMaps {
+	maps := make(shardIDMaps, len(m.shards))
 	for i, sh := range m.shards {
 		sh.idMu.Lock()
 		maps[i] = append([]int(nil), sh.globalOf...)
 		sh.idMu.Unlock()
 	}
-	return audit.Merge(snaps, func(shard, id int) (int, bool) {
-		g := maps[shard]
-		if id < 0 || id >= len(g) || g[id] < 0 {
-			return 0, false
-		}
-		return g[id], true
-	})
+	return maps
+}
+
+// of translates a shard-local class id: -1 for shard roots and ids the
+// copy does not cover.
+func (g shardIDMaps) of(shard, local int) int { return globalID(g[shard], local) }
+
+// remap is of in the form the snapshot mergers take: ok is false where of
+// reports -1.
+func (g shardIDMaps) remap(shard, local int) (int, bool) {
+	id := g.of(shard, local)
+	return id, id >= 0
+}
+
+// globalID is the bounds-checked lookup in one shard's id map: -1 for the
+// shard root and for ids outside the map.
+func globalID(globalOf []int, local int) int {
+	if local < 0 || local >= len(globalOf) {
+		return -1
+	}
+	return globalOf[local]
 }
 
 // WriteMetrics renders the merged metrics in Prometheus text format

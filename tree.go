@@ -3,8 +3,6 @@ package hfsc
 import (
 	"sort"
 	"time"
-
-	"github.com/netsched/hfsc/internal/core"
 )
 
 // CurveJSON is a service curve in the tree snapshot: slope M1 (bytes/s)
@@ -74,15 +72,17 @@ type TreeSnapshot struct {
 	Shards      []TreeShard `json:"shards"`
 }
 
-// treeClasses renders one core scheduler's classes. remap translates a
-// local class id to the snapshot's id space (identity for single
-// schedulers); it never drops entries — every class including the root
-// appears, roots with Parent = -1.
-func treeClasses(s *core.Scheduler, remap func(localID int) int) []TreeClass {
-	root := s.Root()
-	classes := s.Classes()
+// treeClasses renders one scheduler's classes. remap translates a local
+// class id to the snapshot's id space (identity for single schedulers);
+// it never drops entries — every class including the root appears, roots
+// with Parent = -1. Counters are Class.Stats's, so packets the BackendAuto
+// fast path holds or has served are counted too.
+func treeClasses(s *Scheduler, remap func(localID int) int) []TreeClass {
+	root := s.core.Root()
+	classes := s.core.Classes()
 	out := make([]TreeClass, 0, len(classes))
 	for _, c := range classes {
+		st := s.classStats(c)
 		tc := TreeClass{
 			ID:             remap(c.ID()),
 			Name:           c.Name(),
@@ -95,11 +95,11 @@ func treeClasses(s *core.Scheduler, remap func(localID int) int) []TreeClass {
 			Active:         c.Active(),
 			ActiveChildren: c.ActiveChildren(),
 			RTCumulative:   c.RTCumulative(),
-			TotalBytes:     c.Total(),
-			RealTimeBytes:  c.RealTimeWork(),
-			LinkShareBytes: c.LinkShareWork(),
-			SentPackets:    c.SentPackets(),
-			Dropped:        c.Dropped(),
+			TotalBytes:     st.TotalBytes,
+			RealTimeBytes:  st.RealTimeBytes,
+			LinkShareBytes: st.LinkShareBytes,
+			SentPackets:    st.SentPackets,
+			Dropped:        st.Dropped,
 		}
 		if p := c.Parent(); p != nil && c != root {
 			tc.Parent = remap(p.ID())
@@ -107,8 +107,8 @@ func treeClasses(s *core.Scheduler, remap func(localID int) int) []TreeClass {
 		if c.IsLeaf() {
 			tc.Eligible = c.EligibleAt()
 			tc.Deadline = c.DeadlineAt()
-			tc.QueuedPackets = c.QueueLen()
-			tc.QueuedBytes = c.QueueBytes()
+			tc.QueuedPackets = st.QueuedPackets
+			tc.QueuedBytes = st.QueuedBytes
 			tc.QueueLimit = c.QueueLimit()
 		}
 		if f, ok := c.FitAt(); ok {
@@ -130,7 +130,7 @@ func (s *Scheduler) DumpTree() TreeSnapshot {
 		LinkRateBps: s.cfg.LinkRate,
 		Shards: []TreeShard{{
 			RateBps: s.cfg.LinkRate,
-			Classes: treeClasses(s.core, func(id int) int { return id }),
+			Classes: treeClasses(s, func(id int) int { return id }),
 		}},
 	}
 }
@@ -141,7 +141,7 @@ func (s *Scheduler) DumpTree() TreeSnapshot {
 func (q *PacedQueue) DumpTree() TreeSnapshot {
 	var classes []TreeClass
 	q.Inspect(func(s *Scheduler) {
-		classes = treeClasses(s.core, func(id int) int { return id })
+		classes = treeClasses(s, func(id int) int { return id })
 	})
 	return TreeSnapshot{
 		CapturedAt:  Now(time.Now()),
@@ -167,13 +167,7 @@ func (m *MultiQueue) DumpTree() TreeSnapshot {
 	for i, sh := range m.shards {
 		var classes []TreeClass
 		sh.q.Inspect(func(s *Scheduler) {
-			classes = treeClasses(s.core, func(id int) int {
-				g := sh.globalOf
-				if id < 0 || id >= len(g) {
-					return -1
-				}
-				return g[id] // the shard root maps to -1
-			})
+			classes = treeClasses(s, func(id int) int { return globalID(sh.globalOf, id) })
 		})
 		out.Shards[i] = TreeShard{Shard: i, RateBps: sh.q.Rate(), Classes: classes}
 	}
@@ -204,19 +198,19 @@ func (m *MultiQueue) FlightEvents(buf []FlightRecord) []FlightRecord {
 		}
 		from := len(buf)
 		buf = rec.Snapshot(buf)
-		sh.idMu.Lock()
-		g := append([]int(nil), sh.globalOf...)
-		sh.idMu.Unlock()
 		for j := from; j < len(buf); j++ {
 			buf[j].Shard = int32(i)
-			if id := int(buf[j].Class); id >= 0 && id < len(g) {
-				buf[j].Class = int32(g[id])
-			} else {
-				buf[j].Class = -1
-			}
 		}
 	}
 	merged := buf[start:]
+	if len(merged) == 0 {
+		return buf
+	}
+	// Copied after the snapshots, so every recorded id is in the copy.
+	ids := m.globalIDs()
+	for j := range merged {
+		merged[j].Class = int32(ids.of(int(merged[j].Shard), int(merged[j].Class)))
+	}
 	sort.SliceStable(merged, func(a, b int) bool { return merged[a].TS < merged[b].TS })
 	return buf
 }
