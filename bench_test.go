@@ -327,6 +327,57 @@ func BenchmarkSteadyStateAllocs(b *testing.B) {
 	}
 }
 
+// BenchmarkCoreRoundRobin is the core's round-robin pattern: an 8×8
+// equal-share link-sharing tree with every leaf backlogged, so each
+// dequeue moves the served leaf and its parent from the smallest to the
+// largest virtual time among their siblings — a vt-tree removal and
+// reinsertion at two levels per packet, the core's share of a 64-leaf
+// shaper. The steady state must not allocate.
+func BenchmarkCoreRoundRobin(b *testing.B) {
+	const fan = 8
+	const rate = uint64(1_250_000_000)
+	s := core.New(core.Options{})
+	var ids []int
+	for g := 0; g < fan; g++ {
+		gc, err := s.AddClass(nil, fmt.Sprintf("g%d", g), curve.SC{}, curve.Linear(rate/fan), curve.SC{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for k := 0; k < fan; k++ {
+			lc, err := s.AddClass(gc, fmt.Sprintf("g%d.%d", g, k), curve.SC{}, curve.Linear(rate/(fan*fan)), curve.SC{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ids = append(ids, lc.ID())
+		}
+	}
+	now := int64(0)
+	for _, id := range ids {
+		s.Enqueue(&pktq.Packet{Len: 64, Class: id}, now)
+		s.Enqueue(&pktq.Packet{Len: 64, Class: id}, now)
+	}
+	step := func() {
+		now += 52
+		p := s.Dequeue(now)
+		if p == nil {
+			b.Fatal("scheduler idled")
+		}
+		p.Crit = 0
+		s.Enqueue(p, now)
+	}
+	for i := 0; i < 2000; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(500, step); allocs != 0 {
+		b.Fatalf("steady state allocates %.2f allocs/op, want 0", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
 // BenchmarkDequeueNBurst measures the batched dequeue path: one DequeueN
 // call draining a 32-packet burst, versus 32 Dequeue calls.
 func BenchmarkDequeueNBurst(b *testing.B) {
@@ -638,30 +689,6 @@ func BenchmarkBaselineSCED(b *testing.B) {
 		now += 800
 		s.Enqueue(&pktq.Packet{Len: 1000, Class: ids[i%len(ids)], Seq: uint64(i)}, now)
 		if s.Dequeue(now) == nil {
-			b.Fatal("idled")
-		}
-	}
-}
-
-func BenchmarkBaselineDRR(b *testing.B) {
-	d := pfq.NewDRR(0)
-	var ids []int
-	for i := 0; i < 256; i++ {
-		id, err := d.AddFlow(1500)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	now := int64(0)
-	for i, id := range ids {
-		d.Enqueue(&pktq.Packet{Len: 1000, Class: id, Seq: uint64(i)}, now)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now += 800
-		d.Enqueue(&pktq.Packet{Len: 1000, Class: ids[i%len(ids)], Seq: uint64(i)}, now)
-		if d.Dequeue(now) == nil {
 			b.Fatal("idled")
 		}
 	}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"github.com/netsched/hfsc/internal/curve"
-	"github.com/netsched/hfsc/internal/fixpt"
-	"github.com/netsched/hfsc/internal/rbtree"
 )
 
 // RemoveClass deletes a passive leaf class from the hierarchy, mirroring
@@ -33,13 +31,13 @@ func (s *Scheduler) RemoveClass(cl *Class) error {
 		return fmt.Errorf("core: class %q still has queued packets: %w", cl.name, ErrClassActive)
 	}
 	h := cl.hot
-	if h.vtnode != nil || h.cfnode != nil || h.fitnode != nil ||
+	if h.inVT || h.fitnode != nil ||
 		h.elnode != nil || h.elcal != nil || h.hpi != 0 {
 		return fmt.Errorf("core: class %q: %w", cl.name, ErrClassActive)
 	}
 	p := cl.parent
 	// Swap-remove by the stored slot index: sibling order carries no
-	// scheduling meaning (all ordering lives in the vt/cf trees), so the
+	// scheduling meaning (all ordering lives in the vt tree), so the
 	// last child can take the vacated slot and removal stays O(1) even
 	// under a 100k-wide fanout.
 	i, last := cl.childIdx, len(p.child)-1
@@ -174,9 +172,8 @@ func (s *Scheduler) CheckInvariants() error {
 				}
 			}
 			if c.hasFSC && c != s.root {
-				inVT := h.vtnode != nil
-				if (active == 1) != inVT {
-					return 0, fmt.Errorf("leaf %q active=%v but vttree membership=%v", c.name, active == 1, inVT)
+				if (active == 1) != h.inVT {
+					return 0, fmt.Errorf("leaf %q active=%v but vttree membership=%v", c.name, active == 1, h.inVT)
 				}
 			}
 			return active, nil
@@ -185,6 +182,7 @@ func (s *Scheduler) CheckInvariants() error {
 			return 0, fmt.Errorf("interior %q has hot.leaf set", c.name)
 		}
 		activeChildren := 0
+		minActiveF, anyActiveF := int64(noFit), false
 		totalActiveLeaves := 0
 		var childTotals int64
 		for _, ch := range c.child {
@@ -201,14 +199,18 @@ func (s *Scheduler) CheckInvariants() error {
 			} else {
 				isActive = hc.nactive > 0
 			}
-			if isActive {
-				activeChildren++
-			}
-			if (hc.vtnode != nil) != isActive && (ch.hasFSC || !ch.IsLeaf()) {
-				return 0, fmt.Errorf("class %q active=%v but vttree membership=%v", ch.name, isActive, hc.vtnode != nil)
-			}
-			if (hc.vtnode != nil) != (hc.cfnode != nil) {
-				return 0, fmt.Errorf("class %q vttree/cftree membership disagree", ch.name)
+			// A real-time-only leaf never takes part in link-sharing: it
+			// is neither counted in nactive nor a vt-tree member.
+			if ch.hasFSC || !ch.IsLeaf() {
+				if hc.inVT != isActive {
+					return 0, fmt.Errorf("class %q active=%v but vttree membership=%v", ch.name, isActive, hc.inVT)
+				}
+				if isActive {
+					activeChildren++
+					if !anyActiveF || hc.f < minActiveF {
+						minActiveF, anyActiveF = hc.f, true
+					}
+				}
 			}
 			// The hot record must point back at its class (arena wiring).
 			if hc.cl != ch || int(hc.id) != ch.id {
@@ -216,7 +218,7 @@ func (s *Scheduler) CheckInvariants() error {
 			}
 			// The global fit index holds exactly the active classes with a
 			// real fit time.
-			wantFit := hc.vtnode != nil && hc.f != noFit
+			wantFit := hc.inVT && hc.f != noFit
 			if (hc.fitnode != nil) != wantFit {
 				return 0, fmt.Errorf("class %q fit-index membership=%v want %v (f=%d)",
 					ch.name, hc.fitnode != nil, wantFit, hc.f)
@@ -226,57 +228,34 @@ func (s *Scheduler) CheckInvariants() error {
 			}
 			// The effective fit time is max of own and children's minimum.
 			wantF := hc.myf
-			if hc.cfmin > wantF && hc.vtnode != nil {
+			if hc.cfmin > wantF && hc.inVT {
 				wantF = hc.cfmin
 			}
-			if hc.vtnode != nil && hc.f != wantF {
+			if hc.inVT && hc.f != wantF {
 				return 0, fmt.Errorf("class %q f=%d want max(myf=%d, cfmin=%d)", ch.name, hc.f, hc.myf, hc.cfmin)
 			}
 		}
 		if int(c.hot.nactive) != activeChildren {
 			return 0, fmt.Errorf("class %q nactive=%d but %d active children", c.name, c.hot.nactive, activeChildren)
 		}
-		if c.vttree.Len() != activeChildren || c.cftree.Len() != activeChildren {
-			return 0, fmt.Errorf("class %q tree sizes %d/%d vs %d active children",
-				c.name, c.vttree.Len(), c.cftree.Len(), activeChildren)
+		if c.vttree.n != activeChildren {
+			return 0, fmt.Errorf("class %q vt tree size %d vs %d active children",
+				c.name, c.vttree.n, activeChildren)
 		}
 		// An interior class's total equals the sum of its children's
 		// totals (service is only ever charged through leaves).
 		if c != s.root && c.hot.total != childTotals {
 			return 0, fmt.Errorf("class %q total %d != children sum %d", c.name, c.hot.total, childTotals)
 		}
-		// cfmin consistency (noFit when no active child is constrained).
-		wantCfmin := int64(noFit)
-		if n := c.cftree.Min(); n != nil {
-			wantCfmin = n.Item.f
+		// cfmin is the minimum f over the active children, found here by a
+		// linear scan rather than read off the tree (noFit when no active
+		// child is constrained, or none is active).
+		if c.hot.cfmin != minActiveF {
+			return 0, fmt.Errorf("class %q cfmin %d != min f %d over active children", c.name, c.hot.cfmin, minActiveF)
 		}
-		if c.hot.cfmin != wantCfmin {
-			return 0, fmt.Errorf("class %q cfmin %d != tree min %d", c.name, c.hot.cfmin, wantCfmin)
-		}
-		// vt-tree augmentation: every node's Aug is the minimum f in its
-		// subtree (firstFit's search invariant).
-		var checkAug func(n *rbtree.Node[*hot]) (int64, error)
-		checkAug = func(n *rbtree.Node[*hot]) (int64, error) {
-			if n == nil {
-				return int64(fixpt.MaxInt64), nil
-			}
-			m := n.Item.f
-			for _, side := range []*rbtree.Node[*hot]{n.Left(), n.Right()} {
-				sm, err := checkAug(side)
-				if err != nil {
-					return 0, err
-				}
-				if sm < m {
-					m = sm
-				}
-			}
-			if n.Aug != m {
-				return 0, fmt.Errorf("class %q vttree aug %d != subtree min f %d at %q",
-					c.name, n.Aug, m, n.Item.cl.name)
-			}
-			return m, nil
-		}
-		if _, err := checkAug(c.vttree.Root()); err != nil {
+		// The vt tree's shape, links, order and min-fit augmentation
+		// (firstFit's search invariant, and cfmin's source).
+		if err := c.vttree.verify(c); err != nil {
 			return 0, err
 		}
 		return totalActiveLeaves, nil

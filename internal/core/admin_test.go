@@ -202,10 +202,8 @@ func TestRandomizedSoak(t *testing.T) {
 			default:
 				s.Dequeue(now)
 			}
-			if step%250 == 0 {
-				if err := s.CheckInvariants(); err != nil {
-					t.Fatalf("trial %d step %d: %v", trial, step, err)
-				}
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatalf("trial %d step %d: %v", trial, step, err)
 			}
 		}
 		// Drain completely; invariants must hold at rest too.
@@ -221,6 +219,31 @@ func TestRandomizedSoak(t *testing.T) {
 		}
 		if err := s.CheckInvariants(); err != nil {
 			t.Fatalf("trial %d drained: %v", trial, err)
+		}
+	}
+}
+
+// TestInvariantsRealTimeOnlyLeaf: a backlogged leaf with only a real-time
+// curve never joins link-sharing, so it is neither in its parent's vt
+// tree nor counted among the parent's active children, and the invariant
+// check must agree.
+func TestInvariantsRealTimeOnlyLeaf(t *testing.T) {
+	s := core.New(core.Options{})
+	agg := mustAdd(t, s, nil, "agg", curve.SC{}, lin(mbps), curve.SC{})
+	rt := mustAdd(t, s, agg, "rt", lin(100*kbps), curve.SC{}, curve.SC{})
+	ls := mustAdd(t, s, agg, "ls", curve.SC{}, lin(mbps), curve.SC{})
+	s.Enqueue(&pktq.Packet{Len: 100, Class: rt.ID()}, 0)
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatalf("rt leaf backlogged: %v", err)
+	}
+	s.Enqueue(&pktq.Packet{Len: 100, Class: ls.ID()}, 0)
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatalf("both leaves backlogged: %v", err)
+	}
+	for now := int64(0); s.Backlog() > 0; now += ms {
+		s.Dequeue(now)
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("at %d: %v", now, err)
 		}
 	}
 }

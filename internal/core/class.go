@@ -32,11 +32,12 @@ import (
 
 // hot is the per-class state touched on every enqueue and dequeue, split
 // out of Class into index-addressed records owned by the scheduler's arena
-// (see Scheduler.allocHot). Every container on the hot path — the vt/cf
-// trees, the eligible list, the fit index — stores *hot rather than *Class,
-// so tree comparisons and the selection walks touch only these densely
-// packed lines and never chase into the cold Class (names, curve specs,
-// child slices, statistics).
+// (see Scheduler.allocHot). Every container on the hot path — the parent's
+// vt tree, the eligible list, the fit index — orders *hot rather than
+// *Class, so tree comparisons and the selection walks touch only these
+// densely packed lines and never chase into the cold Class (names, curve
+// specs, child slices, statistics). The vt tree is intrusive: its links
+// live in the record itself.
 //
 // The layout is three cache lines, grouped by access pattern:
 //
@@ -44,7 +45,8 @@ import (
 //	         and the firstFit/minDeadline descents read;
 //	line 2 — accounting updated by the service cascades (totals, periods,
 //	         virtual-time watermarks) plus the back-pointer to the Class;
-//	line 3 — container handles (tree nodes, calendar entry, heap position).
+//	line 3 — container state: the vt-tree links and subtree min-fit, the
+//	         other containers' handles (fit index, eligible list).
 //
 // The size is asserted to stay a multiple of 64 so records never straddle
 // line boundaries within a block.
@@ -72,14 +74,16 @@ type hot struct {
 	leaf         bool   // mirrors len(cl.child) == 0 for the minVT walk
 	_            [6]byte
 
-	// Line 3: container handles.
-	vtnode  *rbtree.Node[*hot]    // position in parent's vt tree
-	cfnode  *rbtree.Node[*hot]    // position in parent's cf tree
-	fitnode *rbtree.Node[*hot]    // position in the scheduler's fit index
-	elnode  *rbtree.Node[*hot]    // eligible list: augmented-tree node
-	elcal   *calendar.Entry[*hot] // eligible list: calendar entry (future e)
-	hpi     int32                 // eligible list: deadline-heap position + 1; 0 = out
-	_       [20]byte
+	// Line 3: container state.
+	vl, vr, vp *hot                  // links in the parent's vt tree (see vtTree)
+	vaug       int64                 // min f over this record's vt subtree
+	fitnode    *rbtree.Node[*hot]    // position in the scheduler's fit index
+	elnode     *rbtree.Node[*hot]    // eligible list: augmented-tree node
+	elcal      *calendar.Entry[*hot] // eligible list: calendar entry (future e)
+	hpi        int32                 // eligible list: deadline-heap position + 1; 0 = out
+	vred       bool                  // vt-tree colour: red
+	inVT       bool                  // member of the parent's vt tree (active)
+	_          [2]byte
 }
 
 // Compile-time assertion: hot must stay a multiple of the cache-line size.
@@ -109,9 +113,8 @@ type Class struct {
 	virtual  curve.RTSC // V: maps virtual time to total service
 	ulimit   curve.RTSC // U: caps total service over time
 
-	// State as a parent of active children.
-	vttree *rbtree.Tree[*hot] // active children ordered by vt, Aug = min f in subtree
-	cftree *rbtree.Tree[*hot] // active children ordered by f
+	// State as a parent: the active children ordered by vt.
+	vttree vtTree
 
 	// Statistics.
 	rtWork  int64 // bytes served by the real-time criterion
@@ -215,36 +218,12 @@ func (c *Class) Active() bool {
 	return c.hot.nactive > 0
 }
 
-// vtLess orders active siblings by virtual time, breaking ties by id so
-// the order is deterministic.
-func vtLess(a, b *hot) bool {
-	if a.vt != b.vt {
-		return a.vt < b.vt
-	}
-	return a.id < b.id
-}
-
-// cfLess orders active siblings by fit time.
-func cfLess(a, b *hot) bool {
+// fitLess orders the fit index by fit time.
+func fitLess(a, b *hot) bool {
 	if a.f != b.f {
 		return a.f < b.f
 	}
 	return a.id < b.id
-}
-
-// vtAug maintains the vt-tree augmentation: the minimum effective fit time
-// in each node's subtree. It lets firstFit descend directly to the
-// smallest-vt child whose fit time has arrived, and prunes whole subtrees
-// whose every member is deferred by an upper limit.
-func vtAug(n *rbtree.Node[*hot]) {
-	m := n.Item.f
-	if l := n.Left(); l != nil && l.Aug < m {
-		m = l.Aug
-	}
-	if r := n.Right(); r != nil && r.Aug < m {
-		m = r.Aug
-	}
-	n.Aug = m
 }
 
 // elLess orders leaves by eligible time in the eligible tree.

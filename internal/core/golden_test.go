@@ -93,84 +93,117 @@ func TestGoldenTraceRandom(t *testing.T) {
 	for _, uscOn := range []bool{false, true} {
 		for seed := int64(1); seed <= 6; seed++ {
 			t.Run(fmt.Sprintf("usc=%v/seed=%d", uscOn, seed), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(seed))
-				specs := randHierarchy(rng, uscOn)
-
-				fast := New(Options{})
-				ref := New(Options{refImpl: true})
-				batch := New(Options{})
-				leavesF := buildGolden(t, fast, specs)
-				leavesR := buildGolden(t, ref, specs)
-				leavesB := buildGolden(t, batch, specs)
-				if len(leavesF) != len(leavesR) || len(leavesF) != len(leavesB) {
-					t.Fatal("leaf sets differ")
-				}
-
-				now := int64(0)
-				var scratch []*pktq.Packet
-				for step := 0; step < 4000; step++ {
-					now += int64(rng.Intn(3)) * int64(rng.Intn(200_000))
-					// Enqueue a small burst to random leaves.
-					for k := rng.Intn(3); k > 0; k-- {
-						li := rng.Intn(len(leavesF))
-						ln := 64 + rng.Intn(1436)
-						okF := fast.Enqueue(&pktq.Packet{Len: ln, Class: leavesF[li]}, now)
-						okR := ref.Enqueue(&pktq.Packet{Len: ln, Class: leavesR[li]}, now)
-						okB := batch.Enqueue(&pktq.Packet{Len: ln, Class: leavesB[li]}, now)
-						if okF != okR || okF != okB {
-							t.Fatalf("step %d: enqueue accept mismatch %v/%v/%v", step, okF, okR, okB)
-						}
-					}
-					// Dequeue a burst: fast and ref packet by packet, batch
-					// via DequeueN.
-					m := rng.Intn(4)
-					scratch = batch.DequeueN(now, m, scratch[:0])
-					got := 0
-					for i := 0; i < m; i++ {
-						pf := fast.Dequeue(now)
-						pr := ref.Dequeue(now)
-						if (pf == nil) != (pr == nil) {
-							t.Fatalf("step %d: fast=%v ref=%v", step, pf, pr)
-						}
-						if pf == nil {
-							break
-						}
-						if pf.Class != pr.Class || pf.Crit != pr.Crit || pf.Deadline != pr.Deadline {
-							t.Fatalf("step %d pkt %d: fast {cl=%d %v d=%d} vs ref {cl=%d %v d=%d}",
-								step, i, pf.Class, pf.Crit, pf.Deadline, pr.Class, pr.Crit, pr.Deadline)
-						}
-						if got >= len(scratch) {
-							t.Fatalf("step %d: DequeueN returned %d packets, Dequeue produced more", step, len(scratch))
-						}
-						pb := scratch[got]
-						got++
-						if pb.Class != pf.Class || pb.Crit != pf.Crit || pb.Deadline != pf.Deadline {
-							t.Fatalf("step %d pkt %d: DequeueN {cl=%d %v} vs Dequeue {cl=%d %v}",
-								step, i, pb.Class, pb.Crit, pf.Class, pf.Crit)
-						}
-					}
-					if got != len(scratch) {
-						t.Fatalf("step %d: DequeueN returned %d packets, Dequeue stopped at %d", step, len(scratch), got)
-					}
-					// The retry-time query must agree exactly.
-					tf, okF := fast.NextReady(now)
-					tr, okR := ref.NextReady(now)
-					tb, okB := batch.NextReady(now)
-					if okF != okR || okF != okB || (okF && (tf != tr || tf != tb)) {
-						t.Fatalf("step %d: NextReady fast=(%d,%v) ref=(%d,%v) batch=(%d,%v)",
-							step, tf, okF, tr, okR, tb, okB)
-					}
-					if step%200 == 0 {
-						for name, s := range map[string]*Scheduler{"fast": fast, "ref": ref, "batch": batch} {
-							if err := s.CheckInvariants(); err != nil {
-								t.Fatalf("step %d: %s invariants: %v", step, name, err)
-							}
-						}
-					}
-				}
+				goldenLockstep(t, seed, uscOn, 4000)
 			})
 		}
 	}
+}
+
+// FuzzGoldenLockstep is the differential fuzz target over the golden
+// lockstep: the seed drives a random hierarchy with upper limits on and
+// the traffic against it, and the fast, reference and batched schedulers
+// must agree packet for packet. The seed corpus runs under plain go test;
+// go test -run='^$' -fuzz=FuzzGoldenLockstep ./internal/core explores
+// further.
+func FuzzGoldenLockstep(f *testing.F) {
+	for _, seed := range []int64{0, 7, 42, -3, 1 << 40} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		goldenLockstep(t, seed, true, 1000)
+	})
+}
+
+// goldenLockstep builds the hierarchy randHierarchy draws from seed on a
+// fast, a reference (refImpl) and a batched scheduler, then drives all
+// three with the same seed-drawn traffic for steps steps: each step
+// enqueues a small burst to random leaves and dequeues a burst — fast and
+// reference packet by packet, batched through DequeueN — failing on the
+// first difference in selection, criterion, deadline or retry time, or on
+// a broken invariant (checked every 200 steps and at the end).
+func goldenLockstep(t *testing.T, seed int64, uscOn bool, steps int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	specs := randHierarchy(rng, uscOn)
+
+	fast := New(Options{})
+	ref := New(Options{refImpl: true})
+	batch := New(Options{})
+	leavesF := buildGolden(t, fast, specs)
+	leavesR := buildGolden(t, ref, specs)
+	leavesB := buildGolden(t, batch, specs)
+	if len(leavesF) != len(leavesR) || len(leavesF) != len(leavesB) {
+		t.Fatal("leaf sets differ")
+	}
+
+	checkAll := func(when string) {
+		t.Helper()
+		for name, s := range map[string]*Scheduler{"fast": fast, "ref": ref, "batch": batch} {
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatalf("%s: %s invariants: %v", when, name, err)
+			}
+		}
+	}
+
+	now := int64(0)
+	var scratch []*pktq.Packet
+	for step := 0; step < steps; step++ {
+		now += int64(rng.Intn(3)) * int64(rng.Intn(200_000))
+		// Enqueue a small burst to random leaves.
+		for k := rng.Intn(3); k > 0; k-- {
+			li := rng.Intn(len(leavesF))
+			ln := 64 + rng.Intn(1436)
+			okF := fast.Enqueue(&pktq.Packet{Len: ln, Class: leavesF[li]}, now)
+			okR := ref.Enqueue(&pktq.Packet{Len: ln, Class: leavesR[li]}, now)
+			okB := batch.Enqueue(&pktq.Packet{Len: ln, Class: leavesB[li]}, now)
+			if okF != okR || okF != okB {
+				t.Fatalf("step %d: enqueue accept mismatch %v/%v/%v", step, okF, okR, okB)
+			}
+		}
+		// Dequeue a burst: fast and ref packet by packet, batch
+		// via DequeueN.
+		m := rng.Intn(4)
+		scratch = batch.DequeueN(now, m, scratch[:0])
+		got := 0
+		for i := 0; i < m; i++ {
+			pf := fast.Dequeue(now)
+			pr := ref.Dequeue(now)
+			if (pf == nil) != (pr == nil) {
+				t.Fatalf("step %d: fast=%v ref=%v", step, pf, pr)
+			}
+			if pf == nil {
+				break
+			}
+			if pf.Class != pr.Class || pf.Crit != pr.Crit || pf.Deadline != pr.Deadline {
+				t.Fatalf("step %d pkt %d: fast {cl=%d %v d=%d} vs ref {cl=%d %v d=%d}",
+					step, i, pf.Class, pf.Crit, pf.Deadline, pr.Class, pr.Crit, pr.Deadline)
+			}
+			if got >= len(scratch) {
+				t.Fatalf("step %d: DequeueN returned %d packets, Dequeue produced more", step, len(scratch))
+			}
+			pb := scratch[got]
+			got++
+			if pb.Class != pf.Class || pb.Crit != pf.Crit || pb.Deadline != pf.Deadline {
+				t.Fatalf("step %d pkt %d: DequeueN {cl=%d %v} vs Dequeue {cl=%d %v}",
+					step, i, pb.Class, pb.Crit, pf.Class, pf.Crit)
+			}
+		}
+		if got != len(scratch) {
+			t.Fatalf("step %d: DequeueN returned %d packets, Dequeue stopped at %d", step, len(scratch), got)
+		}
+		// The retry-time query must agree exactly.
+		tf, okF := fast.NextReady(now)
+		tr, okR := ref.NextReady(now)
+		tb, okB := batch.NextReady(now)
+		if okF != okR || okF != okB || (okF && (tf != tr || tf != tb)) {
+			t.Fatalf("step %d: NextReady fast=(%d,%v) ref=(%d,%v) batch=(%d,%v)",
+				step, tf, okF, tr, okR, tb, okB)
+		}
+		if step%200 == 0 {
+			checkAll(fmt.Sprintf("step %d", step))
+		}
+	}
+	checkAll("end")
 }
 
 // TestGoldenDrain runs the schedulers dry after a heavy backlog, covering

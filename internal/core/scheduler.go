@@ -74,7 +74,8 @@ const noFit = math.MinInt64
 
 // hotBlockSize is the arena block granularity: blocks are allocated at
 // fixed capacity and appended to in place, so &block[i] stays stable for
-// the scheduler's lifetime (hot records are referenced by tree nodes).
+// the scheduler's lifetime (hot records are referenced by tree nodes and
+// by each other's vt-tree links).
 const hotBlockSize = 64
 
 // Scheduler is the H-FSC packet scheduler over one link.
@@ -114,10 +115,9 @@ func New(opts Options) *Scheduler {
 		s.el = newElCalendar(s.calendarWidth(), s.calendarBuckets())
 		s.calendarOK = true
 	}
-	s.fittree = rbtree.New[*hot](cfLess, nil)
+	s.fittree = rbtree.New[*hot](fitLess, nil)
 	s.root = &Class{id: 0, name: "root"}
 	s.root.hot = s.allocHot(s.root)
-	s.initParentTrees(s.root)
 	s.classes = []*Class{s.root}
 	return s
 }
@@ -147,11 +147,6 @@ func (s *Scheduler) allocHot(cl *Class) *hot {
 		myf: noFit, f: noFit, cfmin: noFit,
 	})
 	return &s.hotBlocks[bi][len(s.hotBlocks[bi])-1]
-}
-
-func (s *Scheduler) initParentTrees(c *Class) {
-	c.vttree = rbtree.New(vtLess, vtAug)
-	c.cftree = rbtree.New[*hot](cfLess, nil)
 }
 
 // Root returns the implicit root class.
@@ -243,12 +238,6 @@ func (s *Scheduler) AddClass(parent *Class, name string, rsc, fsc, usc curve.SC)
 	if cl.hasUSC {
 		cl.ulimit.Init(usc, 0, 0)
 	}
-	// Parent trees are allocated on first child, not at creation: a leaf
-	// never uses them, and at 100k churned leaves the two eager tree
-	// allocations per class were pure GC ballast on the admin path.
-	if parent.vttree == nil {
-		s.initParentTrees(parent)
-	}
 	cl.childIdx = len(parent.child)
 	parent.child = append(parent.child, cl)
 	parent.hot.leaf = false
@@ -329,7 +318,7 @@ func (s *Scheduler) dequeueOne(now int64) *pktq.Packet {
 			// traffic. If active link-sharing classes exist, the refusal is
 			// an upper-limit deferral — an observable non-work-conserving
 			// moment worth reporting.
-			if s.opts.Tracer != nil && s.root.vttree.Len() > 0 {
+			if s.opts.Tracer != nil && s.root.vttree.n > 0 {
 				f, _ := s.minFitAfter(now)
 				s.trace(EvUlimitDefer, s.root, nil, now, f)
 			}
@@ -425,11 +414,7 @@ func (s *Scheduler) minFitAfterRef(now int64) (int64, bool) {
 	best, found := int64(math.MaxInt64), false
 	var walk func(c *Class)
 	walk = func(c *Class) {
-		if c.vttree == nil { // leaf: parent trees are allocated lazily
-			return
-		}
-		for n := c.vttree.Min(); n != nil; n = c.vttree.Next(n) {
-			ch := n.Item
+		for ch := c.vttree.first(); ch != nil; ch = vtNext(ch) {
 			if ch.f != noFit && ch.f > now && ch.f < best {
 				best, found = ch.f, true
 			}
@@ -509,16 +494,16 @@ func (s *Scheduler) activate(cl *Class, now int64) {
 	p := cl.parent
 	ph := p.hot
 	h := cl.hot
-	if maxN := p.vttree.Max(); maxN != nil {
+	if maxH := p.vttree.last(); maxH != nil {
 		// Siblings are active: derive the system virtual time.
 		var vt int64
 		switch s.opts.VTPolicy {
 		case VTMin:
-			vt = p.vttree.Min().Item.vt
+			vt = p.vttree.first().vt
 		case VTMax:
-			vt = maxN.Item.vt
+			vt = maxH.vt
 		default: // VTMean — the paper's (vmin+vmax)/2
-			vt = maxN.Item.vt
+			vt = maxH.vt
 			if ph.cvtminSet {
 				vt = midpoint(ph.cvtmin, vt)
 			}
@@ -553,9 +538,8 @@ func (s *Scheduler) activate(cl *Class, now int64) {
 		h.f = h.cfmin
 	}
 
-	h.vtnode = p.vttree.Insert(h)
-	h.cfnode = p.cftree.Insert(h)
-	updateCfmin(p)
+	p.vttree.insert(h)
+	ph.cfmin = p.vttree.minF()
 	if h.f != noFit {
 		h.fitnode = s.fittree.Insert(h)
 	}
@@ -602,11 +586,8 @@ func (s *Scheduler) updateVF(cl *Class, length, now int64, leafEmptied bool) {
 			if h.vt > ph.cvtoff {
 				ph.cvtoff = h.vt
 			}
-			p.vttree.Delete(h.vtnode)
-			h.vtnode = nil
-			p.cftree.Delete(h.cfnode)
-			h.cfnode = nil
-			updateCfmin(p)
+			p.vttree.remove(h)
+			ph.cfmin = p.vttree.minF()
 			if h.fitnode != nil {
 				s.fittree.Delete(h.fitnode)
 				h.fitnode = nil
@@ -627,27 +608,26 @@ func (s *Scheduler) updateVF(cl *Class, length, now int64, leafEmptied bool) {
 // repositionVT re-sorts cl in its parent's vt tree after cl's vt advanced.
 // When the in-order neighbors still bracket the new virtual time — the
 // common case in steady state, since all active siblings advance together —
-// the node stays in place and no rebalancing happens at all (vt does not
+// the record stays in place and no rebalancing happens at all (vt does not
 // feed the tree's min-fit augmentation, so there is nothing to fix up).
+// Removal and reinsertion keep the tree's membership, so cfmin holds.
 func (s *Scheduler) repositionVT(cl *Class) {
-	p := cl.parent
+	t := &cl.parent.vttree
 	h := cl.hot
-	n := h.vtnode
 	if !s.opts.refImpl {
-		prev := p.vttree.Prev(n)
-		next := p.vttree.Next(n)
-		if (prev == nil || vtLess(prev.Item, h)) && (next == nil || vtLess(h, next.Item)) {
+		prev, next := vtPrev(h), vtNext(h)
+		if (prev == nil || prev.before(h)) && (next == nil || h.before(next)) {
 			return
 		}
 	}
-	p.vttree.Delete(n)
-	h.vtnode = p.vttree.Insert(h)
+	t.remove(h)
+	t.insert(h)
 }
 
 // refreshF recomputes a class's effective fit time from its own upper
 // limit and its children's, refreshing the structures that index it: the
-// parent's cftree (and its cached minimum), the vt tree's min-fit
-// augmentation, and the scheduler-wide fit index.
+// parent's vt-tree min-fit augmentation (whose root value is the parent's
+// cfmin) and the scheduler-wide fit index.
 func (s *Scheduler) refreshF(cl *Class) {
 	h := cl.hot
 	f := h.myf
@@ -658,24 +638,12 @@ func (s *Scheduler) refreshF(cl *Class) {
 		return
 	}
 	h.f = f
-	if h.cfnode == nil {
+	if !h.inVT {
 		return
 	}
 	p := cl.parent
-	n := h.cfnode
-	inPlace := false
-	if !s.opts.refImpl {
-		prev := p.cftree.Prev(n)
-		next := p.cftree.Next(n)
-		inPlace = (prev == nil || cfLess(prev.Item, h)) && (next == nil || cfLess(h, next.Item))
-	}
-	if !inPlace {
-		p.cftree.Delete(n)
-		h.cfnode = p.cftree.Insert(h)
-	}
-	updateCfmin(p)
-	// The fit time feeds the vt tree's subtree-minimum augmentation.
-	p.vttree.Update(h.vtnode)
+	p.vttree.fixF(h)
+	p.hot.cfmin = p.vttree.minF()
 	switch {
 	case f == noFit:
 		if h.fitnode != nil {
@@ -687,14 +655,6 @@ func (s *Scheduler) refreshF(cl *Class) {
 	default:
 		s.fittree.Delete(h.fitnode)
 		h.fitnode = s.fittree.Insert(h)
-	}
-}
-
-func updateCfmin(p *Class) {
-	if n := p.cftree.Min(); n != nil {
-		p.hot.cfmin = n.Item.f
-	} else {
-		p.hot.cfmin = noFit
 	}
 }
 
@@ -737,30 +697,30 @@ func (s *Scheduler) firstFit(p *Class, now int64) *hot {
 	if s.opts.refImpl {
 		return firstFitRef(p, now)
 	}
-	n := p.vttree.Root()
-	if n == nil || n.Aug > now {
+	n := p.vttree.root
+	if n == nil || n.vaug > now {
 		return nil
 	}
 	for {
-		if l := n.Left(); l != nil && l.Aug <= now {
+		if l := n.vl; l != nil && l.vaug <= now {
 			n = l
 			continue
 		}
-		if n.Item.f <= now {
-			return n.Item
+		if n.f <= now {
+			return n
 		}
 		// The augmentation promised a fit in this subtree but neither the
 		// left side nor the node itself provides it: it is on the right.
-		n = n.Right()
+		n = n.vr
 	}
 }
 
 // firstFitRef is the pre-augmentation linear scan, kept as the golden
 // reference for firstFit.
 func firstFitRef(p *Class, now int64) *hot {
-	for n := p.vttree.Min(); n != nil; n = p.vttree.Next(n) {
-		if n.Item.f <= now {
-			return n.Item
+	for h := p.vttree.first(); h != nil; h = vtNext(h) {
+		if h.f <= now {
+			return h
 		}
 	}
 	return nil

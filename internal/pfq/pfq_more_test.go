@@ -138,19 +138,6 @@ func TestHierarchyReactivation(t *testing.T) {
 	}
 }
 
-func TestDRRInvalidFlow(t *testing.T) {
-	d := pfq.NewDRR(0)
-	if _, err := d.AddFlow(0); err == nil {
-		t.Error("zero quantum accepted")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("enqueue to unknown flow should panic")
-		}
-	}()
-	d.Enqueue(&pktq.Packet{Len: 1, Class: 42}, 0)
-}
-
 func TestEnqueueToInteriorPanics(t *testing.T) {
 	h := pfq.New(pfq.WF2Q, 0)
 	org, _ := h.AddNode(nil, "org", 10)

@@ -168,39 +168,3 @@ func TestWF2QDelayBoundForSmallWeightFlow(t *testing.T) {
 		t.Fatalf("voice delay %.2fms suspiciously low for WF2Q+ (coupling should bind)", float64(worst)/1e6)
 	}
 }
-
-func TestDRRQuantumShares(t *testing.T) {
-	d := pfq.NewDRR(0)
-	a, _ := d.AddFlow(3000)
-	b, _ := d.AddFlow(1000)
-	trace := merged(
-		greedy(a, 1000, 8*mbps, 0, 400*ms),
-		greedy(b, 500, 8*mbps, 0, 400*ms),
-	)
-	res := sim.RunTrace(d, 4*mbps, trace, 400*ms)
-	got := classBytes(res, 50*ms, 400*ms)
-	ratio := float64(got[a]) / float64(got[b])
-	if ratio < 2.6 || ratio > 3.4 {
-		t.Fatalf("DRR ratio %.2f want ~3", ratio)
-	}
-}
-
-func TestDRRHandlesOversizedPackets(t *testing.T) {
-	// Quantum smaller than the packet: deficit must accumulate across
-	// rounds rather than livelock.
-	d := pfq.NewDRR(0)
-	a, _ := d.AddFlow(100)
-	b, _ := d.AddFlow(100)
-	trace := merged(
-		cbr(a, 1000, ms, 0, 20*ms),
-		cbr(b, 1000, ms, 0, 20*ms),
-	)
-	res := sim.RunTrace(d, mbps, trace, sec)
-	if len(res.Departed) != res.Offered {
-		t.Fatalf("lost packets: %d/%d", len(res.Departed), res.Offered)
-	}
-	got := classBytes(res, 0, sec)
-	if got[a] != got[b] {
-		t.Fatalf("equal quanta should serve equally: %d vs %d", got[a], got[b])
-	}
-}

@@ -1,11 +1,15 @@
 // Package rbtree implements an augmented red-black tree.
 //
-// The scheduler uses it in the places the paper's Section V calls for
-// balanced trees: the eligible list (where the augmentation — the minimum
-// packet deadline in each subtree — answers "eligible request with the
-// smallest deadline" in O(log n), the structure attributed to [16] in the
-// paper), and the per-class trees of active children ordered by virtual
-// time, mirroring the reference kernel implementations of H-FSC.
+// The scheduler uses it for the augmented-tree eligible list (where the
+// augmentation — the minimum packet deadline in each subtree — answers
+// "eligible request with the smallest deadline" in O(log n), the structure
+// attributed to [16] in the paper) and for its scheduler-wide index of
+// upper-limit fit times; the packet fair queueing baselines use it for
+// their per-node session orderings. The per-parent trees of active
+// children ordered by virtual time, the hottest of the paper's Section V
+// trees, are not built on it: internal/core keeps them intrusive in its
+// per-class hot records, where the compare and the augmentation are
+// direct code instead of calls through this tree's function values.
 //
 // Nodes are allocated by the tree but returned to callers, which keep them
 // as handles for O(log n) deletion without a search. An optional Update
@@ -76,18 +80,6 @@ func (t *Tree[T]) Min() *Node[T] {
 	}
 	for n.left != nil {
 		n = n.left
-	}
-	return n
-}
-
-// Max returns the node with the largest item, or nil.
-func (t *Tree[T]) Max() *Node[T] {
-	n := t.root
-	if n == nil {
-		return nil
-	}
-	for n.right != nil {
-		n = n.right
 	}
 	return n
 }
