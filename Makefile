@@ -30,10 +30,14 @@ test:
 # The lifecycle property test rides along: completion corrections racing
 # idle collection and template re-creation of the same names. The audit
 # stress polls merged guarantee verdicts off 4 shards while CollectIdle
-# retires template-created class ids mid-window.
+# retires template-created class ids mid-window. The paced queue's admin
+# locking rides along at one shard and at four: name churn against
+# removal, retuning and collection, back-to-back Inspects racing the idle
+# park, and Correct from Transmit while Stop winds the shards down.
 stress:
 	$(GO) test -race -count=3 -run='TestSixteenTenantRaceStress|TestSLOTieredAdmission' ./hfscmw/
 	$(GO) test -race -count=3 -run='TestCorrectCollectIdleRace|TestAuditVerdictCollectIdleRace' .
+	$(GO) test -race -count=3 -run='TestPacedQueueChurn|TestPacedQueueInspectWakeup|TestPacedQueueCorrectFromTransmitDuringStop' .
 
 # The datapath conformance/bounds harness: the H-FSC core (BackendHFSC)
 # and the HLS fast path (via BackendAuto on link-sharing-only trees)

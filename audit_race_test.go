@@ -11,7 +11,7 @@ import (
 
 // TestAuditVerdictCollectIdleRace is the guarantee-auditor stress test
 // `make stress` runs under the race detector: a reader goroutine polls
-// merged audit verdicts off a 4-shard MultiQueue while producers churn
+// merged audit verdicts off a 4-shard PacedQueue while producers churn
 // template-created classes through their idle grace — so CollectIdle
 // keeps retiring class ids mid-window and the template keeps re-creating
 // the same names under fresh ids. The auditor (per shard, merged through

@@ -540,7 +540,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		}
 		p := &hfsc.Packet{Len: 1000, Class: cl.ID()}
 		now := int64(0)
-		s.Enqueue(p, now)
+		s.Offer(p, now)
 		checkZeroAllocs(t, func() {
 			now += 800
 			q := s.Dequeue(now)
@@ -598,7 +598,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		}
 		p := &hfsc.Packet{Len: 1000, Class: cl.ID()}
 		now := int64(0)
-		s.Enqueue(p, now)
+		s.Offer(p, now)
 		checkZeroAllocs(t, func() {
 			now += 800
 			q := s.Dequeue(now)

@@ -36,7 +36,7 @@ func measureBackend(kind hfsc.BackendKind, n, ops int) (served string, nsPerPkt,
 	s, ids := buildBackendSched(kind, n)
 	now := int64(0)
 	for i, id := range ids {
-		s.Enqueue(&hfsc.Packet{Len: 1000, Class: id, Seq: uint64(i)}, now)
+		s.Offer(&hfsc.Packet{Len: 1000, Class: id, Seq: uint64(i)}, now)
 	}
 	for i := 0; i < 2*len(ids); i++ {
 		now += 800
@@ -45,7 +45,7 @@ func measureBackend(kind hfsc.BackendKind, n, ops int) (served string, nsPerPkt,
 			panic("backend idled during warmup")
 		}
 		p.Crit = 0
-		s.Enqueue(p, now)
+		s.Offer(p, now)
 	}
 	nsPerPkt, allocsPerPkt = clock(ops, func(int) {
 		now += 800
@@ -54,7 +54,7 @@ func measureBackend(kind hfsc.BackendKind, n, ops int) (served string, nsPerPkt,
 			panic("backend idled unexpectedly")
 		}
 		p.Crit = 0
-		s.Enqueue(p, now)
+		s.Offer(p, now)
 	})
 	return s.Backend(), nsPerPkt, allocsPerPkt
 }

@@ -132,7 +132,7 @@ func main() {
 		return
 	}
 
-	// multiProducers feeds the MultiQueue rows (TBL-O3 and the -check gate).
+	// multiProducers feeds the multi-shard queue rows (TBL-O3 and the -check gate).
 	const multiProducers = 16
 	sizes := []int{16, 64, 256, 1024, 4096}
 	var results []Result
@@ -309,7 +309,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	// TBL-O3: end-to-end MultiQueue throughput versus shard count — the
+	// TBL-O3: end-to-end multi-shard queue throughput versus shard count — the
 	// sharded-scheduler scaling experiment. The line rate is set far above
 	// what the CPU can push so scheduling work, not pacing, is measured.
 	rates := shardSweep(multiProducers, *ops, 1)
@@ -322,7 +322,7 @@ func main() {
 			fmt.Sprintf("%.2fx", rates[shards]/rates[1]))
 	}
 	fmt.Println()
-	fmt.Printf("TBL-O3: MultiQueue throughput vs shards (1024 classes, %d producers, batch SubmitN, pooled packets; GOMAXPROCS=%d)\n",
+	fmt.Printf("TBL-O3: multi-shard PacedQueue throughput vs shards (1024 classes, %d producers, batch SubmitN, pooled packets; GOMAXPROCS=%d)\n",
 		multiProducers, runtime.GOMAXPROCS(0))
 	fmt.Println()
 	if err := mtbl.Write(os.Stdout); err != nil {
@@ -626,11 +626,11 @@ func measureIntakeChan(producers, ops int) float64 {
 	return float64(consumed) / elapsed.Seconds()
 }
 
-// measureMulti measures end-to-end MultiQueue throughput: producers
-// batch-submit pooled packets (SubmitN, 32 per batch), each batch a
-// single class's run and successive batches rotating over the producer's
-// slice of nclasses top-level classes, while the shard pacing goroutines
-// dequeue and Release. Returns transmitted packets per second of wall
+// measureMulti measures end-to-end multi-shard PacedQueue throughput:
+// producers batch-submit pooled packets (SubmitN, 32 per batch), each
+// batch a single class's run and successive batches rotating over the
+// producer's slice of nclasses top-level classes, while the shard pacing
+// goroutines dequeue and Release. Returns transmitted packets per second of wall
 // time. The 100 Gb/s line keeps pacing out of the way.
 //
 // One class per batch is the pattern burst coalescing produces (a NIC
@@ -655,11 +655,11 @@ func measureMulti(shards, producers, nclasses, ops int) float64 {
 	rate := 100 * hfsc.Gbps / uint64(nclasses)
 	ids := make([]int, nclasses)
 	for i := 0; i < nclasses; i++ {
-		cl, err := m.AddClass(nil, fmt.Sprintf("c%d", i), hfsc.ClassConfig{LinkShare: hfsc.Linear(rate)})
+		id, err := m.AddClass("", fmt.Sprintf("c%d", i), hfsc.ClassConfig{LinkShare: hfsc.Linear(rate)})
 		if err != nil {
 			panic(err)
 		}
-		ids[i] = cl.ID()
+		ids[i] = id
 	}
 	m.Start()
 	defer m.Stop()
@@ -703,7 +703,7 @@ func measureMulti(shards, producers, nclasses, ops int) float64 {
 	return float64(per*producers) / elapsed.Seconds()
 }
 
-// shardSweep measures the MultiQueue saturation sweep: transmitted
+// shardSweep measures the multi-shard saturation sweep: transmitted
 // packets per second for 1/2/4/8 scheduler shards under `producers`
 // concurrent submitters and 1024 classes, taking the best of `runs`
 // passes per point (wall-clock end-to-end numbers are noisy; min-of-N

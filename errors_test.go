@@ -70,7 +70,7 @@ func TestErrClassActive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Enqueue(&hfsc.Packet{Len: 100, Class: a.ID()}, 0) {
+	if s.Offer(&hfsc.Packet{Len: 100, Class: a.ID()}, 0) != hfsc.DropNone {
 		t.Fatal("enqueue failed")
 	}
 	if err := s.RemoveClass(a); !errors.Is(err, hfsc.ErrClassActive) {
@@ -115,7 +115,7 @@ func TestErrNoLinkRate(t *testing.T) {
 // TestDelayBoundSentinels pins the typed errors on DelayBound's validation
 // paths: a convex (non-concave) real-time curve, a work unit above lmax,
 // and a curve that never delivers the requested burst — each must be
-// matchable with errors.Is, on both the Scheduler and MultiQueue surfaces.
+// matchable with errors.Is, on both the Scheduler and PacedQueue surfaces.
 func TestDelayBoundSentinels(t *testing.T) {
 	s := hfsc.New(hfsc.Config{LinkRate: 10 * hfsc.Mbps})
 
@@ -142,7 +142,8 @@ func TestDelayBoundSentinels(t *testing.T) {
 		t.Errorf("concave curve: got (%v, %v), want a positive bound", d, err)
 	}
 
-	// The same sentinels must surface through MultiQueue.DelayBound.
+	// The same sentinels must surface through PacedQueue.DelayBound on a
+	// multi-shard queue.
 	m, err := hfsc.NewMultiQueue(hfsc.MultiConfig{
 		Config: hfsc.Config{LinkRate: 10 * hfsc.Mbps},
 		Shards: 2,
@@ -151,19 +152,18 @@ func TestDelayBoundSentinels(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Stop()
-	mc, err := m.AddClass(nil, "leaf", hfsc.ClassConfig{LinkShare: hfsc.Linear(hfsc.Mbps)})
-	if err != nil {
+	if _, err := m.AddClass("", "leaf", hfsc.ClassConfig{LinkShare: hfsc.Linear(hfsc.Mbps)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.DelayBound(nil, 1500, 1500); !errors.Is(err, hfsc.ErrNilClass) {
-		t.Errorf("nil class: want ErrNilClass, got %v", err)
+	if _, err := m.DelayBound("ghost", 1500, 1500); !errors.Is(err, hfsc.ErrUnknownClass) {
+		t.Errorf("unknown class: want ErrUnknownClass, got %v", err)
 	}
 	// The leaf carries no real-time curve, so its RSC is the zero curve.
-	if _, err := m.DelayBound(mc, 1500, 1500); !errors.Is(err, hfsc.ErrCurveUnreachable) {
-		t.Errorf("multiqueue zero curve: want ErrCurveUnreachable, got %v", err)
+	if _, err := m.DelayBound("leaf", 1500, 1500); !errors.Is(err, hfsc.ErrCurveUnreachable) {
+		t.Errorf("multi-shard zero curve: want ErrCurveUnreachable, got %v", err)
 	}
-	if _, err := m.DelayBound(mc, 3000, 1500); !errors.Is(err, hfsc.ErrUnitExceedsLMax) {
-		t.Errorf("multiqueue u > lmax: want ErrUnitExceedsLMax, got %v", err)
+	if _, err := m.DelayBound("leaf", 3000, 1500); !errors.Is(err, hfsc.ErrUnitExceedsLMax) {
+		t.Errorf("multi-shard u > lmax: want ErrUnitExceedsLMax, got %v", err)
 	}
 }
 
@@ -219,14 +219,13 @@ func TestOfferDropReasons(t *testing.T) {
 			t.Errorf("%s: Offer = %v, want %v", c.name, got, c.want)
 		}
 	}
-	// Enqueue is Offer collapsed to a bool — and must not panic on the
-	// invalid inputs the core would reject.
-	if s.Enqueue(&hfsc.Packet{Len: 100, Class: 999}, 0) {
-		t.Error("Enqueue accepted an unknown class")
+	// A repeated refusal is counted again.
+	if s.Offer(&hfsc.Packet{Len: 100, Class: 999}, 0) == hfsc.DropNone {
+		t.Error("Offer accepted an unknown class")
 	}
 	// All refusals above are visible in the metrics under their reasons.
 	snap := s.Snapshot()
-	if snap.DropsUnknownClass != 4 { // 3 cases + the Enqueue probe
+	if snap.DropsUnknownClass != 4 { // 3 cases + the repeated probe
 		t.Errorf("DropsUnknownClass = %d, want 4", snap.DropsUnknownClass)
 	}
 	if snap.DropsBadPacket != 2 {

@@ -1,4 +1,4 @@
-// Hfsc-serve is the observability example: a MultiQueue shaping synthetic
+// Hfsc-serve is the observability example: a multi-shard PacedQueue shaping synthetic
 // traffic in real time, with the scheduler's metrics scraped over HTTP in
 // Prometheus text format and its internals — the flight-recorder event
 // stream and the live class tree — served as JSON debug endpoints. The
@@ -89,21 +89,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	voice, err := m.AddClass(nil, "voice", hfsc.ClassConfig{
+	voice, err := m.AddClass("", "voice", hfsc.ClassConfig{
 		RealTime:  voiceRT,
 		LinkShare: hfsc.Linear(64 * hfsc.Kbps),
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	bulk, err := m.AddClass(nil, "bulk", hfsc.ClassConfig{
+	bulk, err := m.AddClass("", "bulk", hfsc.ClassConfig{
 		LinkShare:  hfsc.Linear(link * 3 / 4),
 		QueueLimit: 32, // short queue: overload surfaces as queue-limit drops
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	capped, err := m.AddClass(nil, "capped", hfsc.ClassConfig{
+	capped, err := m.AddClass("", "capped", hfsc.ClassConfig{
 		LinkShare:  hfsc.Linear(link / 4),
 		UpperLimit: hfsc.Linear(link / 10),
 	})
@@ -120,23 +120,23 @@ func main() {
 	// Arrival on enqueue, so queue-delay histograms measure shaper time.
 	go func() { // voice: 160 B every 20 ms = 64 Kb/s CBR
 		for range time.Tick(20 * time.Millisecond) {
-			m.Submit(&hfsc.Packet{Len: 160, Class: voice.ID()})
+			m.Submit(&hfsc.Packet{Len: 160, Class: voice})
 		}
 	}()
 	go func() { // bulk: bursts that overdrive the link
 		for range time.Tick(10 * time.Millisecond) {
 			for i := 0; i < 2; i++ {
-				m.Submit(&hfsc.Packet{Len: 1200, Class: bulk.ID()})
+				m.Submit(&hfsc.Packet{Len: 1200, Class: bulk})
 			}
 		}
 	}()
 	go func() { // capped: ~2x its upper limit, with jittered sizes
 		for range time.Tick(25 * time.Millisecond) {
-			m.Submit(&hfsc.Packet{Len: 400 + rand.Intn(400), Class: capped.ID()})
+			m.Submit(&hfsc.Packet{Len: 400 + rand.Intn(400), Class: capped})
 		}
 	}()
 
-	// Periodic driver-level stats: the typed MultiStats snapshot covers the
+	// Periodic driver-level stats: the typed PacedStats snapshot covers the
 	// intake and pacing side (what /metrics covers for the scheduler side).
 	go func() {
 		for range time.Tick(10 * time.Second) {
@@ -196,9 +196,15 @@ func main() {
 		if len(recs) > n {
 			recs = recs[len(recs)-n:]
 		}
+		// Name the records from a metrics snapshot taken after them: every
+		// class that produced an event and is still live is in it.
+		names := map[int32]string{}
+		for _, c := range m.Snapshot().Classes {
+			names[int32(c.ID)] = c.Name
+		}
 		out := make([]hfsc.FlightEvent, len(recs))
 		for i, rec := range recs {
-			out[i] = hfsc.FlightEventJSON(rec, func(id int32) string { return m.ClassName(int(id)) })
+			out[i] = hfsc.FlightEventJSON(rec, func(id int32) string { return names[id] })
 		}
 		w.Header().Set("Content-Type", "application/json")
 		if err := json.NewEncoder(w).Encode(out); err != nil {

@@ -3,8 +3,8 @@
 // kernel module plays for a network interface.
 //
 // Packets arriving on the listen sockets are classified by listen port
-// and submitted to a MultiQueue — per-core scheduler shards, each pacing
-// its service-curve slice of the line rate. Each listen socket has its
+// and submitted to a multi-shard PacedQueue — per-core scheduler shards,
+// each pacing its service-curve slice of the line rate. Each listen socket has its
 // own reader goroutine; readers batch bursts into one SubmitN call and
 // recycle packets through the shared pool (GetPacket in the readers,
 // Release after the egress write), so a sustained flood neither locks
@@ -80,7 +80,7 @@ func newEgress(out *net.UDPConn) *egress {
 	return e
 }
 
-// transmit is the MultiQueue callback: hand the packet to the egress
+// transmit is the PacedQueue callback: hand the packet to the egress
 // goroutine.
 func (e *egress) transmit(p *hfsc.Packet) { e.ch <- p }
 
@@ -173,7 +173,7 @@ func main() {
 		if cfg.LinkShare, err = hierarchy.ParseCurve(parts[3]); err != nil {
 			log.Fatal(err)
 		}
-		cl, err := m.AddClass(nil, name, cfg)
+		id, err := m.AddClass("", name, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -182,9 +182,9 @@ func main() {
 			log.Fatal(err)
 		}
 		defer conn.Close()
-		fmt.Printf("class %-8s on :%s  shard %d  rt=%v ls=%v\n", name, port, cl.Shard(), cfg.RealTime, cfg.LinkShare)
+		fmt.Printf("class %-8s on :%s  id %d  rt=%v ls=%v\n", name, port, id, cfg.RealTime, cfg.LinkShare)
 
-		go read(conn, m, cl.ID(), &rejected)
+		go read(conn, m, id, &rejected)
 	}
 	if err := m.Admissible(); err != nil {
 		fmt.Fprintln(os.Stderr, "warning:", err)
@@ -199,11 +199,15 @@ func main() {
 	}
 	for range time.Tick(*statsEvery) {
 		st := m.Stats()
-		rates := make([]string, len(st.Shards))
-		for i, sh := range st.Shards {
-			rates[i] = fmt.Sprintf("%d", sh.Rate)
+		shards := st.Shards
+		if shards == nil { // one shard: the totals are shard 0's
+			shards = []hfsc.PacedStats{st}
 		}
-		log.Printf("sent %d pkts (%d B), intake drops full=%d stopped=%d, backlog %d, reader-seen drops %d, shard rates %s B/s",
+		rates := make([]string, len(shards))
+		for i, sh := range shards {
+			rates[i] = fmt.Sprintf("%d/%d", sh.Rate, sh.GuaranteedRate)
+		}
+		log.Printf("sent %d pkts (%d B), intake drops full=%d stopped=%d, backlog %d, reader-seen drops %d, shard rate/floor %s B/s",
 			st.SentPackets, st.SentBytes, st.DropsIntakeFull, st.DropsStopped, st.IntakeBacklog, rejected.Load(),
 			strings.Join(rates, "/"))
 	}
@@ -214,7 +218,7 @@ func main() {
 // read of a batch blocks and the rest use an immediate deadline, so
 // either way a burst coalesces into one SubmitN while a lone packet is
 // flushed at once.
-func read(conn net.PacketConn, m *hfsc.MultiQueue, class int, rejected *atomic.Uint64) {
+func read(conn net.PacketConn, m *hfsc.PacedQueue, class int, rejected *atomic.Uint64) {
 	if r, ok := newMmsgReader(conn, batchSize, 64<<10); ok {
 		readMmsg(r, m, class, rejected)
 		return
@@ -253,7 +257,7 @@ func read(conn net.PacketConn, m *hfsc.MultiQueue, class int, rejected *atomic.U
 
 // readMmsg is the Linux read loop: one recvmmsg per burst, one SubmitN
 // per burst. Exits when the socket is closed or the shaper stops.
-func readMmsg(r *mmsgReader, m *hfsc.MultiQueue, class int, rejected *atomic.Uint64) {
+func readMmsg(r *mmsgReader, m *hfsc.PacedQueue, class int, rejected *atomic.Uint64) {
 	batch := make([]*hfsc.Packet, 0, batchSize)
 	for {
 		n, err := r.read()
@@ -277,7 +281,7 @@ func readMmsg(r *mmsgReader, m *hfsc.MultiQueue, class int, rejected *atomic.Uin
 
 // submit feeds one batch through SubmitN, releasing refused packets and
 // counting drops. Returns false once the shaper is stopped.
-func submit(m *hfsc.MultiQueue, batch []*hfsc.Packet, rejected *atomic.Uint64) bool {
+func submit(m *hfsc.PacedQueue, batch []*hfsc.Packet, rejected *atomic.Uint64) bool {
 	rest := batch
 	for len(rest) > 0 {
 		n, r := m.SubmitN(rest)

@@ -123,13 +123,10 @@ func TestRemovedClassLeavesTelemetryScheduler(t *testing.T) {
 	}
 }
 
-// runningQueue is the name-addressed surface PacedQueue and MultiQueue
-// share, plus the transmit/reject tallies of the test's callbacks.
+// runningQueue is a queue under test plus the transmit/reject tallies of
+// its callbacks.
 type runningQueue struct {
-	submitTo  func(string, *hfsc.Packet) hfsc.DropReason
-	classID   func(string) (int, bool)
-	collect   func() int
-	telemetry func() (string, *hfsc.Snapshot, *hfsc.AuditSnapshot)
+	q *hfsc.PacedQueue
 	// sent and rejected count the callbacks; lastTx is the class id of the
 	// latest transmit.
 	sent, rejected atomic.Uint64
@@ -145,6 +142,16 @@ func (r *runningQueue) transmit(p *hfsc.Packet) {
 func (r *runningQueue) reject(p *hfsc.Packet, _ hfsc.DropReason) {
 	r.rejected.Add(1)
 	p.Release()
+}
+
+// telemetry scrapes the queue's three telemetry surfaces.
+func (r *runningQueue) telemetry(t *testing.T) (string, *hfsc.Snapshot, *hfsc.AuditSnapshot) {
+	t.Helper()
+	var buf strings.Builder
+	if err := r.q.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String(), r.q.Snapshot(), r.q.AuditSnapshot()
 }
 
 // cycleRunning cycles "t/a" through a running queue: submit (creating
@@ -172,7 +179,7 @@ func cycleRunning(t *testing.T, r *runningQueue, bgID int) {
 			sent, rejected := r.sent.Load(), r.rejected.Load()
 			p := hfsc.GetPacket()
 			p.Len = 500
-			if res := r.submitTo("t/a", p); res != hfsc.DropNone {
+			if res := r.q.SubmitTo("t/a", p); res != hfsc.DropNone {
 				t.Fatalf("cycle %d: SubmitTo: %v", cycle, res)
 			}
 			wait(func() bool { return r.sent.Load() > sent || r.rejected.Load() > rejected }, "transmit or reject")
@@ -185,78 +192,44 @@ func cycleRunning(t *testing.T, r *runningQueue, bgID int) {
 			t.Fatalf("cycle %d reused id %d", cycle, id)
 		}
 		ids[id] = true
-		text, snap, aud := r.telemetry()
+		text, snap, aud := r.telemetry(t)
 		// Live during the scrape only if the registry still resolves the
 		// name to this id afterwards: a collected id never comes back.
-		if cur, ok := r.classID("t/a"); ok && cur == id {
+		if cur, ok := r.q.ClassID("t/a"); ok && cur == id {
 			checkLiveTelemetry(t, text, snap, aud, map[string]int{"bg": bgID, "t/a": id})
 		}
 		wait(func() bool {
-			r.collect()
-			_, ok := r.classID("t/a")
+			r.q.CollectIdle()
+			_, ok := r.q.ClassID("t/a")
 			return !ok
 		}, "collection")
-		text, snap, aud = r.telemetry()
+		text, snap, aud = r.telemetry(t)
 		checkLiveTelemetry(t, text, snap, aud, map[string]int{"bg": bgID})
 	}
 }
 
+// TestRemovedClassLeavesTelemetryPacedQueue cycles a template class
+// through a running queue of one shard and of four.
 func TestRemovedClassLeavesTelemetryPacedQueue(t *testing.T) {
-	s := hfsc.New(hfsc.Config{LinkRate: 100 * hfsc.Mbps, Metrics: true, Audit: true})
-	s.SetTemplate("t/", forgetTemplate())
-	bg, err := s.AddClass(nil, "bg", hfsc.ClassConfig{LinkShare: hfsc.Linear(hfsc.Mbps)})
-	if err != nil {
-		t.Fatal(err)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			r := &runningQueue{}
+			r.q = newTestQueue(t, hfsc.MultiConfig{
+				Config: hfsc.Config{LinkRate: 100 * hfsc.Mbps, Metrics: true, Audit: true},
+				Shards: shards,
+			}, r.transmit)
+			r.q.OnReject = r.reject
+			r.q.SetTemplate("t/", forgetTemplate())
+			bg, err := r.q.AddClass("", "bg", hfsc.ClassConfig{LinkShare: hfsc.Linear(hfsc.Mbps)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.q.Start()
+			defer r.q.Stop()
+			if res := r.q.Submit(&hfsc.Packet{Len: 500, Class: bg}); res != hfsc.DropNone {
+				t.Fatalf("bg submit: %v", res)
+			}
+			cycleRunning(t, r, bg)
+		})
 	}
-	r := &runningQueue{}
-	q, err := hfsc.NewPacedQueue(s, r.transmit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.OnReject = r.reject
-	r.submitTo, r.classID, r.collect = q.SubmitTo, q.ClassID, q.CollectIdle
-	r.telemetry = func() (string, *hfsc.Snapshot, *hfsc.AuditSnapshot) {
-		var buf strings.Builder
-		if err := q.WriteMetrics(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String(), q.Snapshot(), q.AuditSnapshot()
-	}
-	q.Start()
-	defer q.Stop()
-	if res := q.Submit(&hfsc.Packet{Len: 500, Class: bg.ID()}); res != hfsc.DropNone {
-		t.Fatalf("bg submit: %v", res)
-	}
-	cycleRunning(t, r, bg.ID())
-}
-
-func TestRemovedClassLeavesTelemetryMultiQueue(t *testing.T) {
-	tpl := forgetTemplate()
-	r := &runningQueue{}
-	m, err := hfsc.NewMultiQueue(hfsc.MultiConfig{
-		Config: hfsc.Config{LinkRate: 100 * hfsc.Mbps, Metrics: true, Audit: true, AutoClass: &tpl},
-		Shards: 2,
-	}, r.transmit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.OnReject = r.reject
-	bg, err := m.AddClass(nil, "bg", hfsc.ClassConfig{LinkShare: hfsc.Linear(hfsc.Mbps)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.submitTo, r.classID, r.collect = m.SubmitTo, m.ClassID, m.CollectIdle
-	r.telemetry = func() (string, *hfsc.Snapshot, *hfsc.AuditSnapshot) {
-		var buf strings.Builder
-		if err := m.WriteMetrics(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String(), m.Snapshot(), m.AuditSnapshot()
-	}
-	m.Start()
-	defer m.Stop()
-	if res := m.Submit(&hfsc.Packet{Len: 500, Class: bg.ID()}); res != hfsc.DropNone {
-		t.Fatalf("bg submit: %v", res)
-	}
-	cycleRunning(t, r, bg.ID())
 }

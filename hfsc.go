@@ -24,16 +24,14 @@
 //	}
 //	p := s.Dequeue(now)
 //
-// Offer is the submit surface; Enqueue survives only as a deprecated
-// bool-returning shim. Multi-producer drivers submit through
-// PacedQueue.Submit / SubmitCtx (or MultiQueue.Submit), which report the
-// same DropReason values.
+// Offer is the submit surface. Multi-producer drivers submit through
+// PacedQueue.Submit / SubmitCtx, which report the same DropReason values.
 //
 // # Dynamic classes
 //
 // The hierarchy is not static: classes can be added, removed and re-curved
 // while the link runs (see AddClass, RemoveClass, SetCurves, and the
-// name-addressed equivalents on PacedQueue and MultiQueue). A ClassTemplate
+// name-addressed equivalents on PacedQueue). A ClassTemplate
 // (Config.AutoClass or SetTemplate) goes further and manages leaves
 // automatically: the first submit to an unknown class name creates the
 // leaf from the template, and leaves idle past the template's grace period
@@ -47,8 +45,10 @@
 // PacedQueue — its Submit is safe from any number of goroutines (packets
 // land in sharded lock-free intake rings, drained in batches by the one
 // pacing goroutine that owns the Scheduler) and reports a DropReason when
-// a bounded intake shard overflows. See examples/udpshaper for the
-// datapath shape and DESIGN.md for the intake architecture.
+// a bounded intake shard overflows. NewMultiQueue builds the same queue
+// over several independent Schedulers (shards), each a slice of the link.
+// See examples/udpshaper for the datapath shape and DESIGN.md for the
+// intake architecture.
 package hfsc
 
 import (
@@ -280,6 +280,11 @@ type Scheduler struct {
 	fast   *hls.Sched
 	nonLS  int
 	tracer core.Tracer
+	// onPlace, set when a PacedQueue owns this scheduler as a shard, is
+	// told of each class joining (add) or leaving the shard: its real-time
+	// guarantee (sup-rate) and whether it is top-level. The queue keeps
+	// its placement floors with it.
+	onPlace func(guarantee uint64, top, add bool)
 }
 
 // New creates a scheduler.
@@ -338,12 +343,11 @@ type FlightRecorder = flight.Recorder
 
 // FlightRecorder returns the scheduler's event ring, or nil when
 // Config.Flight is off. Class ids in its records are this scheduler's
-// local ids (use MultiQueue.FlightEvents for the merged, global-id view).
+// local ids (use PacedQueue.FlightEvents for a queue's merged view).
 func (s *Scheduler) FlightRecorder() *FlightRecorder { return s.rec }
 
 // FlightEventJSON converts a flight record to its JSON wire form. nameFn,
-// if non-nil, resolves a class id to a display name ("" to omit); pass
-// MultiQueue.ClassName for records from FlightEvents.
+// if non-nil, resolves a class id to a display name ("" to omit).
 func FlightEventJSON(rec FlightRecord, nameFn func(class int32) string) FlightEvent {
 	return flight.ToJSON(rec, nameFn)
 }
@@ -408,6 +412,7 @@ func (s *Scheduler) AddClass(parent *Class, name string, cfg ClassConfig) (*Clas
 	}
 	s.countCurved(cfg.RealTime, cfg.UpperLimit, +1)
 	s.autoResolve()
+	s.place(c, c.Parent(), true)
 	w := s.wrap(c)
 	s.byName[name] = w
 	s.names.Store(name, c.ID())
@@ -431,9 +436,11 @@ func (s *Scheduler) RemoveClass(cl *Class) error {
 			return fmt.Errorf("%w %q", ErrClassBusy, cl.c.Name())
 		}
 	}
+	parent := cl.c.Parent()
 	if err := s.core.RemoveClass(cl.c); err != nil {
 		return err
 	}
+	s.place(cl.c, parent, false)
 	if s.fast != nil {
 		s.fast.RemoveClass(cl.c.ID())
 	}
@@ -476,6 +483,10 @@ func (s *Scheduler) SetCurves(cl *Class, cfg ClassConfig, now int64) error {
 	if switchToCore && s.fast.Backlog() > 0 {
 		return ErrBackendBusy
 	}
+	// The class leaves its placement floor under its old guarantee and
+	// rejoins under whatever curves it ends up with.
+	s.place(cl.c, cl.c.Parent(), false)
+	defer s.place(cl.c, cl.c.Parent(), true)
 	oldRSC, oldFSC, oldUSC := cl.c.RSC(), cl.c.FSC(), cl.c.USC()
 	if err := s.core.SetCurves(cl.c, cfg.RealTime, cfg.LinkShare, cfg.UpperLimit, now); err != nil {
 		return err
@@ -498,15 +509,6 @@ func (s *Scheduler) SetCurves(cl *Class, cfg ClassConfig, now int64) error {
 	return nil
 }
 
-// Enqueue offers a packet at the given clock (ns); false means dropped.
-//
-// Deprecated: Enqueue is a thin wrapper over Offer that collapses the
-// DropReason to a bool, kept for the package's original signature. New
-// code should call Offer and branch on the reason (queue-limit versus
-// unknown class versus malformed item); drivers should use
-// PacedQueue.Submit / MultiQueue.Submit, which share the same reasons.
-func (s *Scheduler) Enqueue(p *Packet, now int64) bool { return s.Offer(p, now) == DropNone }
-
 // Correct reconciles a completed work item's actual cost with the
 // estimate it was scheduled under (see Packet.Cost): the signed
 // difference is charged to — or refunded from — the class's service-curve
@@ -514,10 +516,10 @@ func (s *Scheduler) Enqueue(p *Packet, now int64) bool { return s.Offer(p, now) 
 // negative. crit is the criterion that served the item (Packet.Crit after
 // dequeue). It returns the delta actually applied, in cost units.
 //
-// Correct must be serialized with Enqueue/Dequeue like every Scheduler
-// method; driver-owned schedulers expose PacedQueue.Correct /
-// MultiQueue.Correct, which queue the adjustment to the pacing goroutine
-// instead. Correcting a removed class is a no-op.
+// Correct must be serialized with Offer/Dequeue like every Scheduler
+// method; a driver-owned scheduler is corrected through PacedQueue.Correct,
+// which queues the adjustment to the pacing goroutine instead. Correcting
+// a removed class is a no-op.
 func (s *Scheduler) Correct(cl *Class, estimated, actual int64, crit Criterion, now int64) int64 {
 	if cl == nil {
 		return 0
@@ -606,7 +608,7 @@ func (s *Scheduler) DelayBound(rsc SC, u int, lmax int) (time.Duration, error) {
 }
 
 // delayBound is the validated Theorem 1/2 computation shared by
-// Scheduler.DelayBound and MultiQueue.DelayBound, after the caller has
+// Scheduler.DelayBound and PacedQueue.DelayBound, after the caller has
 // resolved the link rate.
 func delayBound(rsc SC, u, lmax int, linkRate uint64) (time.Duration, error) {
 	if rsc.D > 0 && rsc.M1 < rsc.M2 {
@@ -621,4 +623,19 @@ func delayBound(rsc SC, u, lmax int, linkRate uint64) (time.Duration, error) {
 	}
 	slack := curve.FromSC(Linear(linkRate)).Inverse(int64(lmax))
 	return time.Duration(t + slack), nil
+}
+
+// place reports a class joining or leaving the shard to the owning queue
+// (see onPlace). parent is passed in because a removed class is already
+// detached from the tree.
+func (s *Scheduler) place(c, parent *core.Class, add bool) {
+	if s.onPlace != nil {
+		s.onPlace(supRate(c.RSC()), parent == s.core.Root(), add)
+	}
+}
+
+// supRate returns the supremum of sc(t)/t for a two-piece linear curve —
+// the conservative per-curve rate the shard floors account.
+func supRate(sc SC) uint64 {
+	return max(sc.M1, sc.M2)
 }

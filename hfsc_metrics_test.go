@@ -26,9 +26,9 @@ func TestPublicMetricsPipeline(t *testing.T) {
 
 	now := int64(0)
 	for i := 0; i < 300; i++ {
-		s.Enqueue(&hfsc.Packet{Len: 200, Class: audio.ID()}, now)
+		s.Offer(&hfsc.Packet{Len: 200, Class: audio.ID()}, now)
 		for j := 0; j < 3; j++ { // overdrive bulk to force queue-limit drops
-			s.Enqueue(&hfsc.Packet{Len: 1200, Class: bulk.ID()}, now)
+			s.Offer(&hfsc.Packet{Len: 1200, Class: bulk.ID()}, now)
 		}
 		s.Dequeue(now)
 		s.Dequeue(now)

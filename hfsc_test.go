@@ -31,10 +31,10 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 
 	now := int64(0)
-	if !s.Enqueue(&hfsc.Packet{Len: 1500, Class: video.ID()}, now) {
+	if s.Offer(&hfsc.Packet{Len: 1500, Class: video.ID()}, now) != hfsc.DropNone {
 		t.Fatal("enqueue failed")
 	}
-	s.Enqueue(&hfsc.Packet{Len: 1000, Class: data.ID()}, now)
+	s.Offer(&hfsc.Packet{Len: 1000, Class: data.ID()}, now)
 	if s.Backlog() != 2 {
 		t.Fatalf("backlog %d", s.Backlog())
 	}
@@ -128,8 +128,8 @@ func TestDequeueNMatchesDequeue(t *testing.T) {
 		a, _ := s.AddClass(nil, "a", hfsc.ClassConfig{LinkShare: hfsc.Linear(6 * hfsc.Mbps)})
 		b, _ := s.AddClass(nil, "b", hfsc.ClassConfig{LinkShare: hfsc.Linear(4 * hfsc.Mbps)})
 		for i := 0; i < 10; i++ {
-			s.Enqueue(&hfsc.Packet{Len: 1000, Class: a.ID()}, 0)
-			s.Enqueue(&hfsc.Packet{Len: 500, Class: b.ID()}, 0)
+			s.Offer(&hfsc.Packet{Len: 1000, Class: a.ID()}, 0)
+			s.Offer(&hfsc.Packet{Len: 500, Class: b.ID()}, 0)
 		}
 		return s
 	}

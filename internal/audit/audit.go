@@ -50,7 +50,7 @@ const (
 	// CauseSchedulerLate: the arrivals conformed, nothing deferred or
 	// corrected the class, and service still came later than the curve
 	// owed — the scheduler itself failed the guarantee (e.g. a mis-sliced
-	// MultiQueue rate or an inadmissible configuration).
+	// shard rate or an inadmissible configuration).
 	CauseSchedulerLate Cause = iota
 	// CauseNonConformingArrival: the sender exceeded its service curve's
 	// arrival envelope during this busy period, so the advertised delay

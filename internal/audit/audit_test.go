@@ -255,7 +255,7 @@ func TestBurnRateWindows(t *testing.T) {
 	}
 }
 
-// TestMergeRemapsAndSums merges two shard snapshots the way MultiQueue
+// TestMergeRemapsAndSums merges two shard snapshots the way a PacedQueue
 // does and checks ids, sums and the merged verdict.
 func TestMergeRemapsAndSums(t *testing.T) {
 	mk := func(late bool) *Snapshot {

@@ -208,7 +208,7 @@ func verdictOf(c *ClassAudit, tolNs int64) Verdict {
 }
 
 // Merge folds per-shard snapshots into one, for drivers that run several
-// schedulers side by side (MultiQueue) — the audit analogue of
+// schedulers side by side (a multi-shard PacedQueue) — the audit analogue of
 // metrics.MergeSnapshots. Link-level counters sum, the clock is the
 // newest across shards, and class entries — disjoint between shards —
 // are concatenated with ids translated by remap (shard index, local id)

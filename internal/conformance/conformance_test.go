@@ -10,6 +10,12 @@ import (
 	"github.com/netsched/hfsc/internal/sim"
 )
 
+// simLink drives a Scheduler through the simulator's link model, whose
+// Enqueue is Offer collapsed to a bool.
+type simLink struct{ *hfsc.Scheduler }
+
+func (l simLink) Enqueue(p *hfsc.Packet, now int64) bool { return l.Offer(p, now) == hfsc.DropNone }
+
 // allBackends are the datapath selections the harness drives; every one
 // must hold conservation and per-class FIFO on arbitrary link-sharing
 // hierarchies. BackendAuto runs those on the HLS fast path, so both
@@ -48,7 +54,7 @@ func TestConformanceRandomized(t *testing.T) {
 				trace[i] = a
 				trace[i].Class = ids[a.Class]
 			}
-			res := sim.RunTrace(s, linkRate, trace, 0)
+			res := sim.RunTrace(simLink{s}, linkRate, trace, 0)
 			if err := CheckConservationFIFO(res); err != nil {
 				t.Errorf("seed %d %v: %v", seed, kind, err)
 			}
@@ -83,7 +89,7 @@ func TestConformanceWorkConservation(t *testing.T) {
 			mapped[i] = a
 			mapped[i].Class = ids[a.Class]
 		}
-		res := sim.RunTrace(s, linkRate, mapped, 0)
+		res := sim.RunTrace(simLink{s}, linkRate, mapped, 0)
 		if err := CheckConservationFIFO(res); err != nil {
 			t.Errorf("%v: %v", kind, err)
 		}
@@ -143,7 +149,7 @@ func TestConformanceFairnessShapes(t *testing.T) {
 			mapped[i] = a
 			mapped[i].Class = ids[a.Class]
 		}
-		res := sim.RunTrace(s, linkRate, mapped, 0)
+		res := sim.RunTrace(simLink{s}, linkRate, mapped, 0)
 		got := ServiceTotals(res, horizon)
 		if err := CheckAgainstFluid(got, ids, fcls, leaves, 0.05, 10*pktLen); err != nil {
 			t.Errorf("%v: %v", kind, err)
@@ -203,7 +209,7 @@ func TestConformanceDelayBounds(t *testing.T) {
 			mapped[i] = a
 			mapped[i].Class = ids[a.Class]
 		}
-		res := sim.RunTrace(s, linkRate, mapped, 0)
+		res := sim.RunTrace(simLink{s}, linkRate, mapped, 0)
 		if err := CheckConservationFIFO(res); err != nil {
 			t.Errorf("%v: %v", kind, err)
 		}
@@ -258,7 +264,7 @@ func TestConformanceAuditOracle(t *testing.T) {
 		mapped[i] = a
 		mapped[i].Class = ids[a.Class]
 	}
-	res := sim.RunTrace(s, linkRate, mapped, 0)
+	res := sim.RunTrace(simLink{s}, linkRate, mapped, 0)
 	if err := CheckConservationFIFO(res); err != nil {
 		t.Fatal(err)
 	}
@@ -314,9 +320,8 @@ func TestConformanceAuditOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for at := int64(0); at < span; at += 750_000 {
-		ok := s2.Enqueue(&hfsc.Packet{Len: lmax, Class: ids2[0], Arrival: at}, at)
-		if !ok {
-			t.Fatalf("enqueue at %d refused", at)
+		if r := s2.Offer(&hfsc.Packet{Len: lmax, Class: ids2[0], Arrival: at}, at); r != hfsc.DropNone {
+			t.Fatalf("offer at %d refused: %v", at, r)
 		}
 	}
 	now := span + int64(100*time.Millisecond)

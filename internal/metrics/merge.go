@@ -3,9 +3,9 @@ package metrics
 import "sort"
 
 // MergeSnapshots folds per-shard snapshots into one, for drivers that run
-// several schedulers side by side (MultiQueue). Scheduler-level counters
-// sum, the clock is the newest across shards, and class entries — which
-// are disjoint between shards — are concatenated. Class ids are local to
+// several schedulers side by side (a multi-shard PacedQueue).
+// Scheduler-level counters sum, the clock is the newest across shards, and
+// class entries — which are disjoint between shards — are concatenated. Class ids are local to
 // each shard's scheduler, so remap translates (shard index, local id) to
 // the merged id space; returning ok=false drops the entry (e.g. a shard's
 // root). A nil remap keeps local ids, which is only meaningful for a

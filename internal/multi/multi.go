@@ -1,5 +1,5 @@
-// Package multi holds the shard-partitioning machinery behind the public
-// MultiQueue: placement of top-level link-sharing subtrees onto scheduler
+// Package multi holds the shard-partitioning machinery behind a
+// multi-shard PacedQueue: placement of top-level link-sharing subtrees onto scheduler
 // shards, division of the line rate into per-shard service-curve slices,
 // and the demand-driven rebalancing of the excess (non-guaranteed)
 // bandwidth.
@@ -55,8 +55,8 @@ func DefaultShards() int {
 
 // Placement pins top-level link-sharing subtrees to shards and accounts
 // each shard's admitted real-time guarantee (its floor). Not safe for
-// concurrent use; the owner serializes access (the MultiQueue takes its
-// table mutex around every placement change, including live add/remove).
+// concurrent use; the owner serializes access (the PacedQueue takes its
+// placement mutex around every change, including live add/remove).
 type Placement struct {
 	floors []uint64 // Σ sup-rates of admitted leaf rsc curves, per shard
 	tops   []int    // top-level classes pinned, per shard
@@ -67,16 +67,12 @@ func NewPlacement(shards int) *Placement {
 	return &Placement{floors: make([]uint64, shards), tops: make([]int, shards)}
 }
 
-// Shards reports the shard count.
-func (p *Placement) Shards() int { return len(p.floors) }
-
-// Place pins a new top-level subtree carrying the given real-time
-// guarantee (sup-rate, bytes/s; 0 for a pure link-sharing subtree) and
-// returns the chosen shard: the one with the smallest admitted floor,
-// ties broken by fewest pinned subtrees, then lowest index — a greedy
-// longest-processing-time-style balance that keeps guaranteed load and
-// subtree count spread without ever migrating a pinned class.
-func (p *Placement) Place(guarantee uint64) int {
+// Pick chooses the shard for a new top-level subtree: the one with the
+// smallest admitted floor, ties broken by fewest pinned subtrees, then
+// lowest index — a greedy longest-processing-time-style balance that keeps
+// guaranteed load and subtree count spread without ever migrating a pinned
+// class. Pick does not pin anything; Add does, once the class exists.
+func (p *Placement) Pick() int {
 	best := 0
 	for i := 1; i < len(p.floors); i++ {
 		if p.floors[i] < p.floors[best] ||
@@ -84,24 +80,25 @@ func (p *Placement) Place(guarantee uint64) int {
 			best = i
 		}
 	}
-	p.tops[best]++
-	p.floors[best] += guarantee
 	return best
 }
 
-// Charge adds a descendant leaf's real-time guarantee to the shard its
-// top-level ancestor was pinned to.
-func (p *Placement) Charge(shard int, guarantee uint64) { p.floors[shard] += guarantee }
+// Add charges a class's real-time guarantee (sup-rate, bytes/s; 0 for a
+// pure link-sharing class) to its shard's floor; top marks a top-level
+// class, which also counts as a pinned subtree.
+func (p *Placement) Add(shard int, guarantee uint64, top bool) {
+	if top {
+		p.tops[shard]++
+	}
+	p.floors[shard] += guarantee
+}
 
-// Uncharge reverses a Charge when a descendant class is removed (or its
-// guarantee changes): the shard keeps its pinned subtree but sheds the
-// leaf's floor contribution.
-func (p *Placement) Uncharge(shard int, guarantee uint64) { p.floors[shard] -= guarantee }
-
-// Unplace rolls back a Place: the top-level class failed to create, was
-// removed, or was garbage-collected.
-func (p *Placement) Unplace(shard int, guarantee uint64) {
-	p.tops[shard]--
+// Remove reverses an Add: the class was removed, garbage-collected, or its
+// guarantee is about to change.
+func (p *Placement) Remove(shard int, guarantee uint64, top bool) {
+	if top {
+		p.tops[shard]--
+	}
 	p.floors[shard] -= guarantee
 }
 

@@ -17,30 +17,40 @@ func TestDefaultShardsBounds(t *testing.T) {
 }
 
 func TestPlacementBalancesFloorsAndCounts(t *testing.T) {
+	place := func(p *Placement, guarantee uint64) int {
+		s := p.Pick()
+		p.Add(s, guarantee, true)
+		return s
+	}
 	p := NewPlacement(2)
-	if s := p.Place(500); s != 0 {
+	if s := place(p, 500); s != 0 {
 		t.Fatalf("first placement on shard %d, want 0", s)
 	}
-	if s := p.Place(100); s != 1 {
+	if s := place(p, 100); s != 1 {
 		t.Fatalf("second placement on shard %d, want 1 (least floor)", s)
 	}
 	// Shard 1 (floor 100) is lighter than shard 0 (floor 500).
-	if s := p.Place(100); s != 1 {
+	if s := place(p, 100); s != 1 {
 		t.Fatalf("third placement on shard %d, want 1", s)
 	}
 	// Floors now 500 vs 200; next goes to 1 again, then counts tie-break.
 	p2 := NewPlacement(3)
 	for i := 0; i < 3; i++ {
-		if s := p2.Place(0); s != i {
+		if s := place(p2, 0); s != i {
 			t.Fatalf("zero-guarantee placement %d on shard %d, want round-robin via count tie-break", i, s)
 		}
 	}
-	p.Charge(0, 250)
+	p.Add(0, 250, false)
 	if p.Floor(0) != 750 {
-		t.Fatalf("Floor(0) = %d after Charge, want 750", p.Floor(0))
+		t.Fatalf("Floor(0) = %d after a descendant Add, want 750", p.Floor(0))
 	}
 	if p.TotalFloor() != 750+200 {
 		t.Fatalf("TotalFloor() = %d, want 950", p.TotalFloor())
+	}
+	// Removing a top-level class frees its slot for the count tie-break.
+	p2.Remove(0, 0, true)
+	if s := p2.Pick(); s != 0 {
+		t.Fatalf("Pick after Remove chose shard %d, want the freed shard 0", s)
 	}
 }
 

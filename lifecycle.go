@@ -63,8 +63,8 @@ type lcEntry struct {
 // the given prefix. The empty prefix matches every name, exactly like
 // Config.AutoClass; among several templates the longest matching prefix
 // wins. Like every Scheduler method this must be serialized with the
-// scheduling calls — on a running PacedQueue or MultiQueue use their
-// SetTemplate, which routes through the pacing goroutine.
+// scheduling calls — on a running PacedQueue use its SetTemplate, which
+// routes through the pacing goroutines.
 func (s *Scheduler) SetTemplate(prefix string, tpl ClassTemplate) {
 	for i := range s.tpls {
 		if s.tpls[i].prefix == prefix {
@@ -75,8 +75,7 @@ func (s *Scheduler) SetTemplate(prefix string, tpl ClassTemplate) {
 	s.tpls = append(s.tpls, tplRule{prefix: prefix, tpl: tpl})
 }
 
-// matchTpl picks the template whose prefix is the longest match for name
-// (MultiQueue keeps its own rule set and shares this).
+// matchTpl picks the template whose prefix is the longest match for name.
 func matchTpl(tpls []tplRule, name string) (*ClassTemplate, bool) {
 	best := -1
 	for i := range tpls {
@@ -131,21 +130,13 @@ func (s *Scheduler) EnsureClass(name string, now int64) (*Class, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.trackLocked(w, tpl.Grace, tpl.OnCollect, now)
+	if tpl.Grace > 0 { // enroll in idle collection
+		if s.lc == nil {
+			s.lc = map[int]*lcEntry{}
+		}
+		s.lc[w.ID()] = &lcEntry{cl: w, grace: tpl.Grace.Nanoseconds(), idleSince: now, onCollect: tpl.OnCollect}
+	}
 	return w, nil
-}
-
-// trackLocked enrolls a class in idle collection (no-op for grace <= 0).
-func (s *Scheduler) trackLocked(w *Class, grace time.Duration, onCollect func(string, int), now int64) {
-	if grace <= 0 {
-		return
-	}
-	if s.lc == nil {
-		s.lc = map[int]*lcEntry{}
-	}
-	s.lc[w.ID()] = &lcEntry{
-		cl: w, grace: grace.Nanoseconds(), idleSince: now, onCollect: onCollect,
-	}
 }
 
 // CollectIdle removes every tracked class that has been idle — empty

@@ -364,19 +364,31 @@ func TestLiveSetCurvesConservation(t *testing.T) {
 	}
 }
 
-// churnDriver abstracts PacedQueue and MultiQueue for the churn stress.
-type churnDriver interface {
-	SubmitTo(name string, p *Packet) DropReason
-	RemoveClass(name string) error
-	SetCurves(name string, cfg ClassConfig) error
-	CollectIdle() int
+// testQueue builds a queue of cfg.Shards shards: the one-shard case
+// through NewPacedQueue, the others through NewMultiQueue.
+func testQueue(t *testing.T, cfg MultiConfig, transmit func(*Packet)) *PacedQueue {
+	t.Helper()
+	var q *PacedQueue
+	var err error
+	if cfg.Shards == 1 {
+		q, err = NewPacedQueue(New(cfg.Config), transmit)
+	} else {
+		q, err = NewMultiQueue(cfg, transmit)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.NumShards() != cfg.Shards {
+		t.Fatalf("NumShards = %d, want %d", q.NumShards(), cfg.Shards)
+	}
+	return q
 }
 
 // runChurn hammers a driver with traffic to numClasses distinct class
 // names while an admin goroutine removes and retunes random classes and
 // the GC collects idle ones, then verifies conservation (accepted ==
 // transmitted + rejected) and per-class FIFO.
-func runChurn(t *testing.T, d churnDriver, stop func(), numClasses int,
+func runChurn(t *testing.T, d *PacedQueue, numClasses int,
 	accepted, transmitted, rejected *atomic.Uint64) {
 	t.Helper()
 	const (
@@ -447,95 +459,57 @@ func runChurn(t *testing.T, d churnDriver, stop func(), numClasses int,
 		}
 		time.Sleep(time.Millisecond)
 	}
-	stop()
+	d.Stop()
 	if got, want := transmitted.Load()+rejected.Load(), accepted.Load(); got != want {
 		t.Fatalf("conservation after stop: served+rejected %d, accepted %d", got, want)
 	}
 }
 
+// TestPacedQueueChurn runs the churn stress on one shard and on four.
 func TestPacedQueueChurn(t *testing.T) {
-	numClasses := 10000
-	if testing.Short() {
-		numClasses = 1000
+	for _, tc := range []struct{ shards, classes, short int }{{1, 10000, 1000}, {4, 4000, 800}} {
+		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
+			numClasses := tc.classes
+			if testing.Short() {
+				numClasses = tc.short
+			}
+			var accepted, transmitted, rejected atomic.Uint64
+			// Transmit may run on several pacing goroutines; class ids are
+			// never reused, so the per-class FIFO check keys a sync.Map.
+			var lastSeq sync.Map
+			var fifoErr atomic.Value
+			q := testQueue(t, MultiConfig{
+				Config: Config{
+					LinkRate: 100 * Gbps, // fast enough to drain everything promptly
+					AutoClass: &ClassTemplate{
+						Class: ClassConfig{LinkShare: Linear(Mbps)},
+						Grace: 5 * time.Millisecond,
+					},
+				},
+				Shards: tc.shards,
+			}, func(p *Packet) {
+				if v, ok := lastSeq.Load(p.Class); ok && p.Seq <= v.(uint64) {
+					fifoErr.CompareAndSwap(nil, fmt.Errorf("class %d: seq %d after %d", p.Class, p.Seq, v))
+				}
+				lastSeq.Store(p.Class, p.Seq)
+				transmitted.Add(1)
+				p.Release()
+			})
+			q.OnReject = func(p *Packet, _ DropReason) {
+				rejected.Add(1)
+				p.Release()
+			}
+			q.Start()
+			runChurn(t, q, numClasses, &accepted, &transmitted, &rejected)
+			if err := fifoErr.Load(); err != nil {
+				t.Fatalf("per-class FIFO violated: %v", err)
+			}
+			t.Logf("accepted=%d transmitted=%d rejected=%d", accepted.Load(), transmitted.Load(), rejected.Load())
+		})
 	}
-	var accepted, transmitted, rejected atomic.Uint64
-	// Transmit and OnReject both run on the pacing goroutine; the FIFO map
-	// needs no lock (read after Stop only once the goroutine is gone).
-	lastSeq := map[int]uint64{}
-	var fifoErr error
-	s := New(Config{
-		LinkRate: 100 * Gbps, // fast enough to drain everything promptly
-		AutoClass: &ClassTemplate{
-			Class: ClassConfig{LinkShare: Linear(Mbps)},
-			Grace: 5 * time.Millisecond,
-		},
-	})
-	q, err := NewPacedQueue(s, func(p *Packet) {
-		if last := lastSeq[p.Class]; p.Seq <= last && fifoErr == nil {
-			fifoErr = fmt.Errorf("class %d: seq %d after %d", p.Class, p.Seq, last)
-		}
-		lastSeq[p.Class] = p.Seq
-		transmitted.Add(1)
-		p.Release()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.OnReject = func(p *Packet, _ DropReason) {
-		rejected.Add(1)
-		p.Release()
-	}
-	q.Start()
-	runChurn(t, q, q.Stop, numClasses, &accepted, &transmitted, &rejected)
-	if fifoErr != nil {
-		t.Fatalf("per-class FIFO violated: %v", fifoErr)
-	}
-	t.Logf("accepted=%d transmitted=%d rejected=%d", accepted.Load(), transmitted.Load(), rejected.Load())
 }
 
-func TestMultiQueueChurn(t *testing.T) {
-	numClasses := 4000
-	if testing.Short() {
-		numClasses = 800
-	}
-	var accepted, transmitted, rejected atomic.Uint64
-	// Transmit runs on several pacing goroutines; global class ids are
-	// never reused, so a per-class mutex-free check needs a sync.Map.
-	var lastSeq sync.Map
-	var fifoErr atomic.Value
-	m, err := NewMultiQueue(MultiConfig{
-		Config: Config{
-			LinkRate: 100 * Gbps,
-			AutoClass: &ClassTemplate{
-				Class: ClassConfig{LinkShare: Linear(Mbps)},
-				Grace: 5 * time.Millisecond,
-			},
-		},
-		Shards: 4,
-	}, func(p *Packet) {
-		if v, ok := lastSeq.Load(p.Class); ok && p.Seq <= v.(uint64) {
-			fifoErr.CompareAndSwap(nil, fmt.Errorf("class %d: seq %d after %d", p.Class, p.Seq, v))
-		}
-		lastSeq.Store(p.Class, p.Seq)
-		transmitted.Add(1)
-		p.Release()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.OnReject = func(p *Packet, _ DropReason) {
-		rejected.Add(1)
-		p.Release()
-	}
-	m.Start()
-	runChurn(t, m, m.Stop, numClasses, &accepted, &transmitted, &rejected)
-	if err := fifoErr.Load(); err != nil {
-		t.Fatalf("per-class FIFO violated: %v", err)
-	}
-	t.Logf("accepted=%d transmitted=%d rejected=%d", accepted.Load(), transmitted.Load(), rejected.Load())
-}
-
-// MultiQueue admin sentinels and template routing: live add via
+// Multi-shard admin sentinels and template routing: live add via
 // EnsureClass lands on the owning shard, SetCurves applies there, and
 // the sentinel errors are errors.Is-able.
 func TestMultiQueueLifecycleSentinels(t *testing.T) {
@@ -550,11 +524,11 @@ func TestMultiQueueLifecycleSentinels(t *testing.T) {
 	m.Start()
 	defer m.Stop()
 
-	mc, err := m.EnsureClass("t/a")
+	id, err := m.EnsureClass("t/a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again, _ := m.EnsureClass("t/a"); again != mc {
+	if again, _ := m.EnsureClass("t/a"); again != id {
 		t.Error("EnsureClass re-created an existing class")
 	}
 	if _, err := m.EnsureClass("untemplated"); !errors.Is(err, ErrUnknownTemplate) {
@@ -567,12 +541,14 @@ func TestMultiQueueLifecycleSentinels(t *testing.T) {
 		t.Errorf("SetCurves(ghost): err = %v, want ErrUnknownClass", err)
 	}
 	// A parent with children refuses removal with ErrHasChildren.
-	parent, err := m.AddClass(nil, "p", ClassConfig{LinkShare: Linear(10 * Mbps)})
-	if err != nil {
+	if _, err := m.AddClass("", "p", ClassConfig{LinkShare: Linear(10 * Mbps)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.AddClass(parent, "p/kid", ClassConfig{LinkShare: Linear(Mbps)}); err != nil {
+	if _, err := m.AddClass("p", "p/kid", ClassConfig{LinkShare: Linear(Mbps)}); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := m.AddClass("ghost", "orphan", ClassConfig{LinkShare: Linear(Mbps)}); !errors.Is(err, ErrUnknownClass) {
+		t.Errorf("AddClass under a missing parent: err = %v, want ErrUnknownClass", err)
 	}
 	if err := m.RemoveClass("p"); !errors.Is(err, ErrHasChildren) {
 		t.Errorf("RemoveClass(parent): err = %v, want ErrHasChildren", err)

@@ -46,7 +46,7 @@ func TestDumpTreeMatchesSnapshot(t *testing.T) {
 		now := int64(0)
 		for seq, id := range ids {
 			for k := 0; k < 3; k++ {
-				s.Enqueue(&hfsc.Packet{Len: 1000, Class: id, Seq: uint64(seq*3 + k)}, now)
+				s.Offer(&hfsc.Packet{Len: 1000, Class: id, Seq: uint64(seq*3 + k)}, now)
 			}
 		}
 		for i := 0; i < 5; i++ { // leave 12-5=7 packets backlogged
@@ -112,13 +112,13 @@ func TestDumpTreeMatchesSnapshot(t *testing.T) {
 		}
 		ids := make([]int, classes)
 		for i := range ids {
-			cl, err := m.AddClass(nil, fmt.Sprintf("p%d", i), hfsc.ClassConfig{
+			id, err := m.AddClass("", fmt.Sprintf("p%d", i), hfsc.ClassConfig{
 				LinkShare: hfsc.Linear(400_000_000 / classes),
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ids[i] = cl.ID()
+			ids[i] = id
 		}
 		m.Start()
 		var accepted uint64
@@ -204,10 +204,10 @@ func TestDumpTreeMatchesSnapshot(t *testing.T) {
 
 // TestFlightConcurrentReaders stresses the lock-free ring under -race: a
 // 4-shard run with hot producers while several goroutines concurrently
-// read the merged event stream, tail individual shard rings, and snapshot
-// the class tree. Readers validate structural invariants on every batch —
-// torn records would surface as nonsense events, wraps as sequence gaps
-// inside one read.
+// read the merged event stream, follow each shard's records in it, and
+// snapshot the class tree. Readers validate structural invariants on every
+// batch — torn records would surface as nonsense events, wraps as sequence
+// gaps inside one read.
 func TestFlightConcurrentReaders(t *testing.T) {
 	const (
 		producers = 4
@@ -228,13 +228,13 @@ func TestFlightConcurrentReaders(t *testing.T) {
 	}
 	classes := make([]int, producers)
 	for i := range classes {
-		cl, err := m.AddClass(nil, fmt.Sprintf("p%d", i), hfsc.ClassConfig{
+		id, err := m.AddClass("", fmt.Sprintf("p%d", i), hfsc.ClassConfig{
 			LinkShare: hfsc.Linear(400_000_000 / producers),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		classes[i] = cl.ID()
+		classes[i] = id
 	}
 	maxClass := int32(0)
 	for _, id := range classes {
@@ -283,40 +283,43 @@ func TestFlightConcurrentReaders(t *testing.T) {
 			}
 		}()
 	}
-	// Per-shard tailers: Seq must be gapless within one ReadSince batch
-	// and strictly increasing across batches.
-	for sh := 0; sh < 4; sh++ {
-		rec := m.FlightRecorder(sh)
-		if rec == nil {
-			t.Fatalf("shard %d has no recorder with Flight on", sh)
-		}
-		readers.Add(1)
-		go func(rec *hfsc.FlightRecorder) {
-			defer readers.Done()
-			var since uint64
-			var buf []hfsc.FlightRecord
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				var cur uint64
-				buf, cur = rec.ReadSince(since, buf[:0])
-				for i, r := range buf {
-					if r.Seq <= since || r.Seq > cur {
-						fail("ReadSince(%d) returned seq %d (cursor %d)", since, r.Seq, cur)
-					}
-					if i > 0 && r.Seq != buf[i-1].Seq+1 {
-						fail("gap inside one read: %d then %d", buf[i-1].Seq, r.Seq)
-					}
-				}
-				if len(buf) > 0 {
-					since = buf[len(buf)-1].Seq
-				}
-			}
-		}(rec)
+	// Per-shard followers: within one merged read each shard's records are
+	// its ring's window in order, so their Seq is gapless; across reads a
+	// shard's newest Seq never moves back.
+	if m.FlightRecorder() != nil {
+		t.Fatal("a 4-shard queue has no single recorder")
 	}
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		var newest [4]uint64
+		var buf []hfsc.FlightRecord
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			buf = m.FlightEvents(buf[:0])
+			var last [4]uint64
+			for _, r := range buf {
+				if r.Shard < 0 || r.Shard >= 4 {
+					fail("record with shard %d", r.Shard)
+					continue
+				}
+				if prev := last[r.Shard]; prev != 0 && r.Seq != prev+1 {
+					fail("shard %d: gap inside one read: %d then %d", r.Shard, prev, r.Seq)
+				}
+				last[r.Shard] = r.Seq
+			}
+			for sh, seq := range last {
+				if seq != 0 && seq < newest[sh] {
+					fail("shard %d: newest seq went back from %d to %d", sh, newest[sh], seq)
+				}
+				newest[sh] = max(newest[sh], seq)
+			}
+		}
+	}()
 	// Tree snapshotter: exercises Inspect against the pacing goroutines.
 	readers.Add(1)
 	go func() {
@@ -357,11 +360,11 @@ func TestFlightConcurrentReaders(t *testing.T) {
 	if readErr != "" {
 		t.Fatal(readErr)
 	}
-	var recorded uint64
-	for sh := 0; sh < 4; sh++ {
-		recorded += m.FlightRecorder(sh).Recorded()
+	shardsSeen := map[int32]bool{}
+	for _, r := range m.FlightEvents(nil) {
+		shardsSeen[r.Shard] = true
 	}
-	if recorded == 0 {
-		t.Fatal("no events recorded across 4 shards")
+	if snap := m.Snapshot(); snap.FlightRecorded == 0 || len(shardsSeen) != 4 {
+		t.Fatalf("recorded %d events on %d of 4 shards", snap.FlightRecorded, len(shardsSeen))
 	}
 }

@@ -4,31 +4,63 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"github.com/netsched/hfsc/internal/audit"
 	"github.com/netsched/hfsc/internal/core"
 	"github.com/netsched/hfsc/internal/intake"
+	"github.com/netsched/hfsc/internal/metrics"
+	"github.com/netsched/hfsc/internal/multi"
 )
 
-// PacedQueue runs a Scheduler behind a single goroutine and paces output
-// at the configured line rate in real time — the software equivalent of
-// the kernel qdisc + NIC pairing the paper's implementation lived in.
+// PacedQueue runs H-FSC behind pacing goroutines and paces output at the
+// configured line rate in real time — the software equivalent of the
+// kernel qdisc + NIC pairing the paper's implementation lived in.
 //
-// Intake is built for multi-producer scale: packets submitted from any
-// goroutine land in sharded bounded MPSC ring buffers (one compare-and-
-// swap per Submit, no locks) keyed by the packet's class, and the pacing
-// goroutine drains them in batches. Per-class FIFO order is preserved;
-// when the link falls behind schedule the transmit side recovers the
-// deficit with one batched DequeueN call instead of paying the
-// scheduler-entry cost per packet. A Submit to a full shard drops the
-// packet immediately (DropIntakeFull) rather than blocking the producer.
+// A queue owns one or more shards. A shard is one Scheduler owned by one
+// pacing goroutine that drains the shard's own intake rings. Intake is
+// built for multi-producer scale: packets submitted from any goroutine
+// land in sharded bounded MPSC ring buffers (one compare-and-swap per
+// Submit, no locks) keyed by the packet's class, and the pacing goroutine
+// drains them in batches. Per-class FIFO order is preserved; when the link
+// falls behind schedule the transmit side recovers the deficit with one
+// batched DequeueN call instead of paying the scheduler-entry cost per
+// packet. A Submit to a full ring drops the packet immediately
+// (DropIntakeFull) rather than blocking the producer.
+//
+// NewPacedQueue builds the one-shard queue around a caller's Scheduler;
+// NewMultiQueue builds several shards so the scheduling work itself scales
+// with cores. The partition follows the paper's admissibility condition,
+// which composes: top-level classes (and their whole subtrees) are pinned
+// to a shard when created, and each shard paces at a slice of the line
+// rate that never drops below the shard's admitted sum of real-time
+// curves, so Theorem 2 delay bounds hold per shard exactly as on a
+// dedicated link of the slice's rate. What is traded away is
+// packet-granular link-sharing across shards: a rebalancer re-divides only
+// the excess bandwidth between shards from measured demand, so cross-shard
+// fairness is epoch-granular.
+//
+// Class ids are computed, not looked up: a class's id is its shard-local
+// id shifted left by the shard bits, with the shard index in the low bits
+// (local<<b | shard, b = bits.Len(shards-1)). With one shard b is zero and
+// the id is the scheduler's own. Ids are never reused, because no shard
+// reuses local ids; an id whose shard bits name no shard is refused at
+// Submit.
+//
+// The name-addressed admin surface (AddClass, RemoveClass, SetCurves,
+// SetTemplate, EnsureClass, CollectIdle) is safe on a running queue: each
+// call is routed to the owning shard's pacing goroutine. None of them may
+// be called from Transmit, OnReject or a template's OnCollect — those run
+// on a pacing goroutine and would deadlock waiting for it. Admin calls
+// must not run concurrently with Start.
 type PacedQueue struct {
-	// Transmit is invoked for every departing packet, from the pacing
-	// goroutine. It must not block for long: time spent here stalls the
-	// link.
+	// Transmit is invoked for every departing packet, from its shard's
+	// pacing goroutine — with several shards it must be safe for concurrent
+	// use. It must not block for long: time spent here stalls the link.
 	Transmit func(*Packet)
 
 	// OnReject, when set, is invoked from the pacing goroutine for every
@@ -40,51 +72,77 @@ type PacedQueue struct {
 	// it must not call back into the PacedQueue. Set before Start.
 	OnReject func(*Packet, DropReason)
 
-	// IntakeShards and IntakeDepth tune the intake rings; set them before
-	// the first Submit or Start. Zero picks the defaults (one shard per
-	// CPU rounded up to a power of two, 256 slots per shard); both are
+	// IntakeShards and IntakeDepth tune each shard's intake rings; set them
+	// before the first Submit or Start. Zero picks the defaults (one ring
+	// per CPU rounded up to a power of two, 256 slots per ring); both are
 	// rounded up to powers of two.
 	IntakeShards int
 	IntakeDepth  int
 
-	// DrainHighWater caps the scheduler-side backlog the drain builds: once
-	// Backlog() reaches it, arrivals stay in the bounded intake rings and
-	// producers feel backpressure (DropIntakeFull) there. Without a cap a
-	// producer flood inflates the unbounded per-class FIFOs faster than the
-	// link drains them — every packet a fresh pool miss, the whole backlog
-	// live heap for the collector to scan. Class queue limits still apply
-	// on top; this is a memory bound on the stage between intake and the
-	// per-class queues. The cap is also the scheduler's fairness window
-	// under sustained overload: link-sharing is computed over the packets
-	// it holds, so hierarchies with more congested leaves than the cap
-	// should raise it (and take the memory hit). Zero picks the default
-	// (256 packets); negative disables the cap. Set before Start.
+	// DrainHighWater caps the scheduler-side backlog each shard's drain
+	// builds: once Backlog() reaches it, arrivals stay in the bounded
+	// intake rings and producers feel backpressure (DropIntakeFull) there.
+	// Without a cap a producer flood inflates the unbounded per-class FIFOs
+	// faster than the link drains them — every packet a fresh pool miss,
+	// the whole backlog live heap for the collector to scan. Class queue
+	// limits still apply on top; this is a memory bound on the stage
+	// between intake and the per-class queues. The cap is also the
+	// scheduler's fairness window under sustained overload: link-sharing is
+	// computed over the packets it holds, so hierarchies with more
+	// congested leaves than the cap should raise it (and take the memory
+	// hit). Zero picks the default (256 packets); negative disables the
+	// cap. Set before Start.
 	DrainHighWater int
 
-	s    *Scheduler
-	rate atomic.Uint64 // pacing rate in bytes/s; see SetRate
+	shards []*shard
+	bits   uint   // shard bits of a class id
+	line   uint64 // the whole link's rate, bytes/s
 
-	// clk is the coarse clock the pacing loop publishes once per pass.
-	// Producers stamp spans from it and MultiQueue shares one instance
-	// across all shards, so a whole multi-shard shaper pays one time.Now()
+	// clk is the coarse clock the pacing loops publish once per pass.
+	// Producers stamp spans from it, so a whole shaper pays one time.Now()
 	// per pacing pass per shard rather than several per packet.
-	clk *coarseClock
+	clk coarseClock
 
-	rings atomic.Pointer[intake.Queue] // built lazily on first Submit/Start
-
-	stop chan struct{}
-	wake chan struct{} // 1-slot doorbell, rung only while idle is set
-	idle atomic.Bool   // pacing goroutine is (about to be) asleep
-	done sync.WaitGroup
-
+	stop    chan struct{}
 	mu      sync.Mutex // Start/Stop state only; the hot path is atomic
 	started bool
 	stopped bool
 
-	sent         atomic.Uint64
-	sentBytes    atomic.Int64
+	// Counted per queue, not per shard, and published through shard 0's
+	// metrics.
 	dropStopped  atomic.Uint64
 	dropCanceled atomic.Uint64
+
+	// adminMu serializes the admin operations, so a name is created on at
+	// most one shard. It is held across shard inspections, which placeMu —
+	// taken by the shards' placement hooks on pacing goroutines — never is.
+	adminMu sync.Mutex
+
+	placeMu  sync.Mutex
+	place    *multi.Placement
+	rebal    *multi.Rebalancer // nil with one shard
+	rebEvery time.Duration
+	rebDone  sync.WaitGroup
+	floorBuf []uint64
+	sentBuf  []int64
+	backBuf  []int64
+}
+
+// shard is one Scheduler behind its own intake rings and pacing goroutine.
+type shard struct {
+	q    *PacedQueue
+	idx  int
+	s    *Scheduler
+	rate atomic.Uint64 // pacing rate in bytes/s
+
+	rings atomic.Pointer[intake.Queue] // built lazily on first Submit/Start
+
+	wake chan struct{} // 1-slot doorbell, rung only while idle is set
+	idle atomic.Bool   // pacing goroutine is (about to be) asleep
+	done sync.WaitGroup
+
+	sent      atomic.Uint64
+	sentBytes atomic.Int64
 
 	// Completion corrections queued for the pacing goroutine (Correct):
 	// appended under corrMu from any goroutine, drained between scheduling
@@ -155,8 +213,32 @@ const (
 	paceDrainHighWater = 256
 )
 
-// NewPacedQueue wraps the scheduler. After Start, the Scheduler must not
-// be used directly (the pacing goroutine owns it) until Stop returns.
+// MultiConfig configures a multi-shard queue. The embedded Config applies
+// to every shard (LinkRate is the whole link's line rate; each shard paces
+// at its slice of it).
+type MultiConfig struct {
+	Config
+
+	// Shards is the number of scheduler shards — independent Schedulers,
+	// each behind its own pacing goroutine. 0 picks one per CPU rounded up
+	// to a power of two; values are clamped to [1, 64].
+	Shards int
+
+	// RebalanceEvery is the excess-bandwidth rebalancing period: how often
+	// the measured per-shard demand re-divides the line rate beyond the
+	// guaranteed floors. 0 picks the default (250 ms); negative disables
+	// rebalancing, freezing the slices computed at Start.
+	RebalanceEvery time.Duration
+}
+
+// DefaultRebalanceEvery is the rebalancing period used when
+// MultiConfig.RebalanceEvery is zero.
+const DefaultRebalanceEvery = 250 * time.Millisecond
+
+// NewPacedQueue builds the one-shard queue: it adopts s as shard 0, so
+// class ids are s's own and s's existing classes and templates carry over.
+// After Start, the Scheduler must not be used directly (the pacing
+// goroutine owns it) until Stop returns; use Inspect.
 func NewPacedQueue(s *Scheduler, transmit func(*Packet)) (*PacedQueue, error) {
 	if s == nil || s.cfg.LinkRate == 0 {
 		return nil, fmt.Errorf("hfsc: PacedQueue needs a scheduler with Config.LinkRate set")
@@ -164,51 +246,161 @@ func NewPacedQueue(s *Scheduler, transmit func(*Packet)) (*PacedQueue, error) {
 	if transmit == nil {
 		return nil, fmt.Errorf("hfsc: PacedQueue needs a Transmit callback")
 	}
-	q := &PacedQueue{
-		Transmit: transmit,
-		s:        s,
-		clk:      &coarseClock{},
-		stop:     make(chan struct{}),
-		wake:     make(chan struct{}, 1),
-		inspectQ: make(chan func(), 8),
+	return newQueue([]*Scheduler{s}, transmit), nil
+}
+
+// NewMultiQueue builds a queue of cfg.Shards shards, each a fresh
+// Scheduler with cfg.Config, over one link of cfg.LinkRate. A
+// Config.AutoClass template is registered on every shard. Transmit is
+// invoked from each shard's pacing goroutine, so with more than one shard
+// it must be safe for concurrent use.
+func NewMultiQueue(cfg MultiConfig, transmit func(*Packet)) (*PacedQueue, error) {
+	if cfg.LinkRate == 0 {
+		return nil, fmt.Errorf("hfsc: MultiQueue needs Config.LinkRate set")
 	}
-	if s.cfg.Spans > 0 && s.agg != nil {
-		q.spanEvery = uint64(s.cfg.Spans)
+	if transmit == nil {
+		return nil, fmt.Errorf("hfsc: MultiQueue needs a Transmit callback")
 	}
-	q.rate.Store(s.cfg.LinkRate)
+	n := cfg.Shards
+	if n <= 0 {
+		n = multi.DefaultShards()
+	}
+	n = min(n, multi.MaxShards)
+	// The catch-all template is registered per shard below, with its
+	// OnCollect translated to queue ids.
+	shCfg := cfg.Config
+	shCfg.AutoClass = nil
+	scheds := make([]*Scheduler, n)
+	for i := range scheds {
+		scheds[i] = New(shCfg)
+	}
+	q := newQueue(scheds, transmit)
+	if cfg.AutoClass != nil {
+		for _, sh := range q.shards {
+			sh.s.SetTemplate("", q.shardTemplate(sh.idx, *cfg.AutoClass))
+		}
+	}
+	if n > 1 {
+		q.rebal = multi.NewRebalancer(cfg.LinkRate, n, cfg.MetricsWindow)
+		q.rebEvery = cfg.RebalanceEvery
+		if q.rebEvery == 0 {
+			q.rebEvery = DefaultRebalanceEvery
+		}
+		q.sentBuf = make([]int64, n)
+		q.backBuf = make([]int64, n)
+	}
 	return q, nil
 }
 
-// SetRate changes the pacing rate (bytes/s) from any goroutine; zero is
-// ignored. The initial rate is the scheduler's Config.LinkRate. MultiQueue
-// uses this to re-divide a line rate between shards at run time; it only
-// moves the output pacing — admission control and delay bounds still use
-// the rate the Scheduler was configured with.
-func (q *PacedQueue) SetRate(bps uint64) {
-	if bps > 0 {
-		q.rate.Store(bps)
+func newQueue(scheds []*Scheduler, transmit func(*Packet)) *PacedQueue {
+	n := len(scheds)
+	q := &PacedQueue{
+		Transmit: transmit,
+		bits:     uint(bits.Len(uint(n - 1))),
+		line:     scheds[0].cfg.LinkRate,
+		stop:     make(chan struct{}),
+		place:    multi.NewPlacement(n),
 	}
+	for i, s := range scheds {
+		sh := &shard{
+			q:        q,
+			idx:      i,
+			s:        s,
+			wake:     make(chan struct{}, 1),
+			inspectQ: make(chan func(), 8),
+		}
+		if s.cfg.Spans > 0 && s.agg != nil {
+			sh.spanEvery = uint64(s.cfg.Spans)
+		}
+		sh.rate.Store(q.line)
+		s.onPlace = func(guarantee uint64, top, add bool) {
+			q.placeMu.Lock()
+			if add {
+				q.place.Add(i, guarantee, top)
+			} else {
+				q.place.Remove(i, guarantee, top)
+			}
+			q.placeMu.Unlock()
+		}
+		// An adopted scheduler's existing classes count toward its floor.
+		root := s.core.Root()
+		for _, c := range s.core.Classes() {
+			if c != root {
+				s.place(c, c.Parent(), true)
+			}
+		}
+		q.shards = append(q.shards, sh)
+	}
+	return q
 }
 
-// Rate reports the current pacing rate in bytes/s.
-func (q *PacedQueue) Rate() uint64 { return q.rate.Load() }
+// NumShards reports the shard count.
+func (q *PacedQueue) NumShards() int { return len(q.shards) }
+
+// globalID translates a shard-local class id to the queue's id space:
+// local<<bits | shard. A one-shard queue's ids are its scheduler's own;
+// with several shards each shard's root (local 0) and negative ids map
+// to -1.
+func (q *PacedQueue) globalID(shard, local int) int {
+	if q.bits == 0 {
+		return local
+	}
+	if local <= 0 {
+		return -1
+	}
+	return local<<q.bits | shard
+}
+
+// remap is globalID in the form the snapshot mergers take.
+func (q *PacedQueue) remap(shard, local int) (int, bool) {
+	id := q.globalID(shard, local)
+	return id, id >= 0
+}
+
+// shardOf returns the shard a class id names, or nil for a negative id or
+// one whose shard bits name no shard.
+func (q *PacedQueue) shardOf(id int) *shard {
+	i := id & (1<<q.bits - 1)
+	if id < 0 || i >= len(q.shards) {
+		return nil
+	}
+	return q.shards[i]
+}
+
+// route validates a packet for Submit and returns its shard. Refusals are
+// synchronous and counted in shard 0's metrics.
+func (q *PacedQueue) route(p *Packet) (*shard, DropReason) {
+	r := DropBadPacket
+	if p != nil && p.Work() > 0 {
+		if sh := q.shardOf(p.Class); sh != nil {
+			return sh, DropNone
+		}
+		r = DropUnknownClass
+	}
+	if agg := q.shards[0].s.agg; agg != nil {
+		agg.CountDrop(r, Now(time.Now()))
+	}
+	return nil, r
+}
 
 // intakeRings lazily builds the rings so IntakeShards/IntakeDepth set
-// after NewPacedQueue still apply. Read-only paths (Stats, syncMetrics)
-// load q.rings directly instead, so a queue that never carried traffic
+// after construction still apply. Read-only paths (Stats, syncMetrics)
+// load sh.rings directly instead, so a shard that never carried traffic
 // never allocates its rings.
-func (q *PacedQueue) intakeRings() *intake.Queue {
-	if r := q.rings.Load(); r != nil {
+func (sh *shard) intakeRings() *intake.Queue {
+	if r := sh.rings.Load(); r != nil {
 		return r
 	}
-	r := intake.New(q.IntakeShards, q.IntakeDepth)
-	if q.rings.CompareAndSwap(nil, r) {
+	r := intake.New(sh.q.IntakeShards, sh.q.IntakeDepth)
+	if sh.rings.CompareAndSwap(nil, r) {
 		return r
 	}
-	return q.rings.Load()
+	return sh.rings.Load()
 }
 
-// Start launches the pacing goroutine.
+// Start computes the initial rate slices and launches every shard's
+// pacing goroutine and, with several shards and rebalancing on, the
+// rebalancer.
 func (q *PacedQueue) Start() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -216,16 +408,26 @@ func (q *PacedQueue) Start() {
 		return
 	}
 	q.started = true
-	q.corrMu.Lock()
-	q.corrLoop = true
-	q.corrMu.Unlock()
-	q.done.Add(1)
-	go q.loop()
+	if q.rebal != nil {
+		q.rebalance(Now(time.Now()))
+	}
+	for _, sh := range q.shards {
+		sh.corrMu.Lock()
+		sh.corrLoop = true
+		sh.corrMu.Unlock()
+		sh.done.Add(1)
+		go sh.loop()
+	}
+	if q.rebal != nil && q.rebEvery > 0 {
+		q.rebDone.Add(1)
+		go q.rebalanceLoop()
+	}
 }
 
-// Stop terminates the pacing goroutine and waits for it; queued packets
-// are discarded. Stop is idempotent. After Stop returns the Scheduler may
-// be inspected again (e.g. Backlog) — the pacing goroutine is gone.
+// Stop terminates the pacing goroutines (and the rebalancer) and waits for
+// them; queued packets are discarded. Stop is idempotent. After Stop
+// returns the Schedulers may be inspected again (e.g. Backlog) — the
+// pacing goroutines are gone.
 func (q *PacedQueue) Stop() {
 	q.mu.Lock()
 	if !q.started || q.stopped {
@@ -235,27 +437,50 @@ func (q *PacedQueue) Stop() {
 	q.stopped = true
 	q.mu.Unlock()
 	close(q.stop)
-	q.done.Wait()
+	q.rebDone.Wait()
+	for _, sh := range q.shards {
+		sh.done.Wait()
+	}
 }
 
 // Submit hands a packet to the shaper from any goroutine and reports
-// exactly what happened: DropNone on acceptance, DropStopped after Stop,
-// DropIntakeFull when the packet's intake shard was full (bounded-queue
-// overflow: the packet is dropped, the producer never blocks). Acceptance
-// means the packet reached the intake rings; scheduler-level refusals
-// (unknown class, queue limit) happen asynchronously on the pacing
-// goroutine and are visible through Snapshot, not Submit.
+// exactly what happened: DropNone on acceptance, DropBadPacket for a nil
+// or zero-cost packet, DropUnknownClass for a negative class id or one
+// whose shard bits name no shard, DropStopped after Stop, DropIntakeFull
+// when the packet's intake ring was full (bounded-queue overflow: the
+// packet is dropped, the producer never blocks). Acceptance means the
+// packet reached the intake rings; scheduler-level refusals (unknown or
+// removed class, queue limit) happen asynchronously on the pacing
+// goroutine and are reported through OnReject and Snapshot. On any
+// refusal the packet, with Packet.Class unchanged, stays with the caller.
 func (q *PacedQueue) Submit(p *Packet) DropReason {
+	sh, r := q.route(p)
+	if r != DropNone {
+		return r
+	}
 	if q.isStopped() {
 		q.dropStopped.Add(1)
 		return DropStopped
 	}
-	q.maybeSpan(p)
-	if !q.intakeRings().Push(p.Class, p) {
-		return DropIntakeFull // the shard counted the drop
+	if !sh.push(p) {
+		return DropIntakeFull // the ring counted the drop
 	}
-	q.kick()
+	sh.kick()
 	return DropNone
+}
+
+// push offers one packet to the shard's intake rings under its local id,
+// without the stopped-check or doorbell. A refused packet gets its queue
+// id back.
+func (sh *shard) push(p *Packet) bool {
+	sh.maybeSpan(p)
+	id := p.Class
+	p.Class = id >> sh.q.bits
+	if !sh.intakeRings().Push(p.Class, p) {
+		p.Class = id
+		return false
+	}
+	return true
 }
 
 // maybeSpan stamps every spanEvery-th packet with its submit clock; the
@@ -265,12 +490,12 @@ func (q *PacedQueue) Submit(p *Packet) DropReason {
 // path); before the pacing loop's first pass publishes a value it falls
 // back to the real clock. A coarse stamp is never ahead of the drain
 // pass that picks the packet up, so span components stay non-negative.
-func (q *PacedQueue) maybeSpan(p *Packet) {
-	if q.spanEvery == 0 {
+func (sh *shard) maybeSpan(p *Packet) {
+	if sh.spanEvery == 0 {
 		return
 	}
-	if q.spanCtr.Add(1)%q.spanEvery == 0 {
-		if ts := q.clk.now(); ts != 0 {
+	if sh.spanCtr.Add(1)%sh.spanEvery == 0 {
+		if ts := sh.q.clk.now(); ts != 0 {
 			p.SubmitAt = ts
 		} else {
 			p.SubmitAt = Now(time.Now())
@@ -279,14 +504,14 @@ func (q *PacedQueue) maybeSpan(p *Packet) {
 }
 
 // SubmitN is the batch form of Submit: it offers the packets in order and
-// stops at the first refusal, paying one stopped-check and one doorbell
-// ring per batch instead of per packet. It returns how many leading
-// packets were accepted and why the batch stopped (DropNone when all of
-// ps was accepted). Ownership of ps[:accepted] passes to the shaper;
-// ps[accepted:] — including the refused packet itself — stays with the
-// caller, which may retry or Release them. Packets after the first
-// refusal are not attempted, so only the refusal itself is counted in
-// the drop statistics.
+// stops at the first refusal, paying one stopped-check per batch and one
+// doorbell ring per touched shard instead of per packet. It returns how
+// many leading packets were accepted and why the batch stopped (DropNone
+// when all of ps was accepted). Ownership of ps[:accepted] passes to the
+// shaper; ps[accepted:] — including the refused packet itself — stays with
+// the caller, which may retry or Release them. Packets after the first
+// refusal are not attempted, so only the refusal itself is counted in the
+// drop statistics.
 func (q *PacedQueue) SubmitN(ps []*Packet) (accepted int, last DropReason) {
 	if len(ps) == 0 {
 		return 0, DropNone
@@ -295,23 +520,30 @@ func (q *PacedQueue) SubmitN(ps []*Packet) (accepted int, last DropReason) {
 		q.dropStopped.Add(1)
 		return 0, DropStopped
 	}
-	rings := q.intakeRings()
+	var touched uint64 // the shard count is clamped to 64
 	for i, p := range ps {
-		q.maybeSpan(p)
-		if !rings.Push(p.Class, p) { // the shard counted the drop
-			if i > 0 {
-				q.kick()
-			}
-			return i, DropIntakeFull
+		sh, r := q.route(p)
+		if r == DropNone && !sh.push(p) {
+			r = DropIntakeFull // the ring counted the drop
 		}
+		if r != DropNone {
+			q.kick(touched)
+			return i, r
+		}
+		touched |= 1 << uint(sh.idx)
 	}
-	q.kick()
+	q.kick(touched)
 	return len(ps), DropNone
 }
 
-// TrySubmit is Submit with the reason collapsed to a bool, mirroring the
-// Enqueue/Offer split on the Scheduler: true means accepted.
-func (q *PacedQueue) TrySubmit(p *Packet) bool { return q.Submit(p) == DropNone }
+// kick rings the doorbell of every shard in the touched bitmask.
+func (q *PacedQueue) kick(touched uint64) {
+	for touched != 0 {
+		i := bits.TrailingZeros64(touched)
+		touched &^= 1 << i
+		q.shards[i].kick()
+	}
+}
 
 // submitCtxBackoff bounds the retry backoff of SubmitCtx: start at 50µs
 // (about one pacing pass) and double to at most 5ms, so a briefly full
@@ -322,16 +554,20 @@ const (
 )
 
 // SubmitCtx is Submit for producers that would rather wait than shed:
-// when the packet's intake shard is full it blocks with exponential
+// when the packet's intake ring is full it blocks with exponential
 // backoff (50µs doubling to 5ms) and retries until the packet is
 // accepted, the queue stops, or ctx is done — returning DropNone,
-// DropStopped or DropCanceled respectively. The packet stays owned by
-// the caller unless DropNone is returned. Each full-ring retry round is
-// counted as an intake-full refusal in the stats (the pressure was real
-// even when a later retry succeeds).
+// DropStopped or DropCanceled respectively. Invalid packets and ids are
+// refused at once, as by Submit. The packet stays owned by the caller
+// unless DropNone is returned. Each full-ring retry round is counted as an
+// intake-full refusal in the stats (the pressure was real even when a
+// later retry succeeds).
 func (q *PacedQueue) SubmitCtx(ctx context.Context, p *Packet) DropReason {
+	if _, r := q.route(p); r != DropNone {
+		return r
+	}
 	if err := ctx.Err(); err != nil {
-		q.countCanceled()
+		q.dropCanceled.Add(1)
 		return DropCanceled
 	}
 	backoff := submitCtxBackoffMin
@@ -352,7 +588,7 @@ func (q *PacedQueue) SubmitCtx(ctx context.Context, p *Packet) DropReason {
 		}
 		select {
 		case <-ctx.Done():
-			q.countCanceled()
+			q.dropCanceled.Add(1)
 			return DropCanceled
 		case <-q.stop:
 			q.dropStopped.Add(1)
@@ -364,10 +600,6 @@ func (q *PacedQueue) SubmitCtx(ctx context.Context, p *Packet) DropReason {
 		}
 	}
 }
-
-// countCanceled records one DropCanceled in the driver counter (synced
-// into the metrics aggregator like the other intake drops).
-func (q *PacedQueue) countCanceled() { q.dropCanceled.Add(1) }
 
 // correction is one queued Correct call.
 type correction struct {
@@ -381,43 +613,59 @@ type correction struct {
 // estimate it was scheduled (and paced) under — see Scheduler.Correct for
 // the semantics. class is the leaf class id the item was submitted to and
 // crit the criterion that served it (Packet.Crit at Transmit). Safe from
-// any goroutine: the adjustment is queued and applied by the pacing
-// goroutine between scheduling passes, so it is asynchronous — Snapshot
-// may lag a Correct by one pass; during Stop the pacing goroutine's exit
-// flush applies it, so it is in place when Stop returns (this also makes
-// Correct safe from Transmit while the queue stops). On a queue whose
-// pacing goroutine is not running the adjustment is applied inline
-// (callers must then serialize with other direct Scheduler use, as with
-// Inspect). Unknown and removed classes are ignored.
+// any goroutine: the adjustment is queued and applied by the owning
+// shard's pacing goroutine between scheduling passes, so it is
+// asynchronous — Snapshot may lag a Correct by one pass; during Stop the
+// pacing goroutine's exit flush applies it, so it is in place when Stop
+// returns (this also makes Correct safe from Transmit while the queue
+// stops). On a queue whose pacing goroutines are not running the
+// adjustment is applied inline (callers must then serialize with other
+// direct Scheduler use, as with Inspect). Unknown and removed classes are
+// ignored.
 func (q *PacedQueue) Correct(class int, estimated, actual int64, crit Criterion) {
 	if estimated < 0 || actual < 0 || estimated == actual {
 		return
 	}
-	q.corrMu.Lock()
-	q.corrQ = append(q.corrQ, correction{class, estimated, actual, crit})
-	q.corrPending.Store(true)
-	queued := q.corrLoop
-	q.corrMu.Unlock()
-	if queued {
-		q.kick()
+	sh := q.shardOf(class)
+	if sh == nil {
 		return
 	}
-	q.done.Wait() // the loop has flushed; let it finish winding down
-	q.serveCorrections(Now(time.Now()))
+	sh.corrMu.Lock()
+	sh.corrQ = append(sh.corrQ, correction{class >> q.bits, estimated, actual, crit})
+	sh.corrPending.Store(true)
+	queued := sh.corrLoop
+	sh.corrMu.Unlock()
+	if queued {
+		sh.kick()
+		return
+	}
+	sh.done.Wait() // the loop has flushed; let it finish winding down
+	sh.serveCorrections(Now(time.Now()))
+}
+
+// CorrectClass is Correct addressed by class name; unlike Correct's
+// silent ignore it reports an unknown name with ErrUnknownClass.
+func (q *PacedQueue) CorrectClass(name string, estimated, actual int64, crit Criterion) error {
+	id, ok := q.ClassID(name)
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrUnknownClass, name)
+	}
+	q.Correct(id, estimated, actual, crit)
+	return nil
 }
 
 // serveCorrections applies every queued correction at clock nowNs. Called
 // from the pacing goroutine (loop body and exit path), and inline by
 // Correct on a queue that is not running; corrMu is held across the
 // scheduler calls so inline callers serialize with each other.
-func (q *PacedQueue) serveCorrections(nowNs int64) {
-	q.corrMu.Lock()
-	defer q.corrMu.Unlock()
-	q.corrPending.Store(false)
-	for _, c := range q.corrQ {
-		q.s.correctByID(c.class, c.estimated, c.actual, c.crit, nowNs)
+func (sh *shard) serveCorrections(nowNs int64) {
+	sh.corrMu.Lock()
+	defer sh.corrMu.Unlock()
+	sh.corrPending.Store(false)
+	for _, c := range sh.corrQ {
+		sh.s.correctByID(c.class, c.estimated, c.actual, c.crit, nowNs)
 	}
-	q.corrQ = q.corrQ[:0]
+	sh.corrQ = sh.corrQ[:0]
 }
 
 // isStopped reports whether Stop has been called.
@@ -430,18 +678,11 @@ func (q *PacedQueue) isStopped() bool {
 	}
 }
 
-// push offers one packet to the intake rings without the stopped-check or
-// doorbell (MultiQueue batches those across shards).
-func (q *PacedQueue) push(p *Packet) bool {
-	q.maybeSpan(p)
-	return q.intakeRings().Push(p.Class, p)
-}
-
 // kick rings the doorbell if the pacing goroutine is (about to be) asleep.
-func (q *PacedQueue) kick() {
-	if q.idle.Load() {
+func (sh *shard) kick() {
+	if sh.idle.Load() {
 		select {
-		case q.wake <- struct{}{}:
+		case sh.wake <- struct{}{}:
 		default: // doorbell already rung
 		}
 	}
@@ -455,7 +696,7 @@ type PacedStats struct {
 	SentPackets uint64
 	SentBytes   int64
 	// DropsIntakeFull counts Submits refused because the packet's intake
-	// shard was full; DropsStopped counts Submits after Stop.
+	// ring was full; DropsStopped counts Submits after Stop.
 	DropsIntakeFull uint64
 	DropsStopped    uint64
 	// DropsCanceled counts SubmitCtx calls abandoned because the caller's
@@ -464,9 +705,18 @@ type PacedStats struct {
 	// IntakeBacklog is the number of packets currently buffered in the
 	// intake rings (approximate while producers are active).
 	IntakeBacklog int
-	// ShardHighWater holds each intake shard's deepest backlog observed
-	// at a drain, indexed by shard.
+	// ShardHighWater holds each intake ring's deepest backlog observed at a
+	// drain: shard 0's rings first, then shard 1's, and so on.
 	ShardHighWater []int64
+	// Rate is the current pacing rate (bytes/s) and GuaranteedRate the
+	// admitted real-time floor (the sup-rate sum of the real-time curves)
+	// it never drops below; for the whole queue, the sums over shards.
+	Rate           uint64
+	GuaranteedRate uint64
+	// Shards is the per-shard breakdown of a multi-shard queue, nil with
+	// one shard. DropsStopped and DropsCanceled are counted per queue and
+	// are zero in the shard entries.
+	Shards []PacedStats
 }
 
 // Drops returns the total packets refused at intake, all reasons.
@@ -476,92 +726,155 @@ func (st PacedStats) Drops() uint64 {
 
 // Stats snapshots the driver counters. Safe from any goroutine; the hot
 // paths it reads are all atomics. On a queue that never carried traffic
-// (no Submit, no Start) it returns zero-valued stats without building the
-// intake rings.
+// (no Submit, no Start) it returns zero-valued counters without building
+// the intake rings.
 func (q *PacedQueue) Stats() PacedStats {
 	st := PacedStats{
-		SentPackets:   q.sent.Load(),
-		SentBytes:     q.sentBytes.Load(),
 		DropsStopped:  q.dropStopped.Load(),
 		DropsCanceled: q.dropCanceled.Load(),
 	}
-	if r := q.rings.Load(); r != nil {
-		st.DropsIntakeFull = r.Drops()
-		st.IntakeBacklog = r.Depth()
-		st.ShardHighWater = r.HighWater()
+	if len(q.shards) > 1 {
+		st.Shards = make([]PacedStats, len(q.shards))
+	}
+	for i, sh := range q.shards {
+		one := PacedStats{
+			SentPackets: sh.sent.Load(),
+			SentBytes:   sh.sentBytes.Load(),
+			Rate:        sh.rate.Load(),
+		}
+		q.placeMu.Lock()
+		one.GuaranteedRate = q.place.Floor(i)
+		q.placeMu.Unlock()
+		if r := sh.rings.Load(); r != nil {
+			one.DropsIntakeFull = r.Drops()
+			one.IntakeBacklog = r.Depth()
+			one.ShardHighWater = r.HighWater()
+		}
+		if st.Shards != nil {
+			st.Shards[i] = one
+		}
+		st.SentPackets += one.SentPackets
+		st.SentBytes += one.SentBytes
+		st.DropsIntakeFull += one.DropsIntakeFull
+		st.IntakeBacklog += one.IntakeBacklog
+		st.Rate += one.Rate
+		st.GuaranteedRate += one.GuaranteedRate
+		st.ShardHighWater = append(st.ShardHighWater, one.ShardHighWater...)
 	}
 	return st
 }
 
 // syncMetrics publishes the driver-level intake drop totals into the
-// scheduler's metrics aggregator so /metrics reports intake loss next to
+// shard's metrics aggregator so /metrics reports intake loss next to
 // queue-limit loss. Cheap and idempotent (totals are monotonic).
-func (q *PacedQueue) syncMetrics() {
-	if q.s.agg == nil {
+func (sh *shard) syncMetrics() {
+	agg := sh.s.agg
+	if agg == nil {
 		return
 	}
-	var full uint64
-	if r := q.rings.Load(); r != nil {
+	var full, stopped, canceled uint64
+	if r := sh.rings.Load(); r != nil {
 		full = r.Drops()
 	}
-	q.s.agg.RecordIntake(full, q.dropStopped.Load(), Now(time.Now()))
-	q.s.agg.RecordCanceled(q.dropCanceled.Load(), Now(time.Now()))
-	q.s.syncFlight()
+	if sh.idx == 0 {
+		stopped, canceled = sh.q.dropStopped.Load(), sh.q.dropCanceled.Load()
+	}
+	agg.RecordIntake(full, stopped, Now(time.Now()))
+	agg.RecordCanceled(canceled, Now(time.Now()))
+	sh.s.syncFlight()
 }
 
-// FlightRecorder returns the underlying scheduler's event ring, or nil
-// when Config.Flight is off. Reading it is safe while the queue runs.
-func (q *PacedQueue) FlightRecorder() *FlightRecorder { return q.s.rec }
+// FlightRecorder returns a one-shard queue's event ring (nil when
+// Config.Flight is off, and on a multi-shard queue — use FlightEvents for
+// the merged view). Reading it is safe while the queue runs.
+func (q *PacedQueue) FlightRecorder() *FlightRecorder {
+	if len(q.shards) > 1 {
+		return nil
+	}
+	return q.shards[0].s.rec
+}
+
+// Snapshot copies the scheduler metrics (nil when created without
+// Config.Metrics), after folding in the driver's intake drop counters.
+// With several shards the per-shard snapshots are merged, class ids in the
+// queue's id space, audit verdicts included. Unlike a Scheduler, which
+// the pacing goroutine owns after Start, this is safe to call from any
+// goroutine: it reads only the metrics aggregators and atomics.
+func (q *PacedQueue) Snapshot() *Snapshot {
+	if q.shards[0].s.agg == nil {
+		return nil
+	}
+	if len(q.shards) == 1 {
+		q.shards[0].syncMetrics()
+		return q.shards[0].s.Snapshot()
+	}
+	snaps := make([]*metrics.Snapshot, len(q.shards))
+	audits := make([]*audit.Snapshot, len(q.shards))
+	for i, sh := range q.shards {
+		sh.syncMetrics()
+		snaps[i] = sh.s.Snapshot()
+		audits[i] = snaps[i].Audit
+	}
+	merged := metrics.MergeSnapshots(snaps, q.remap)
+	if q.shards[0].s.aud != nil {
+		merged.Audit = audit.Merge(audits, q.remap)
+	}
+	return merged
+}
 
 // AuditSnapshot copies the online guarantee auditor's verdicts (nil when
-// the scheduler was created without Config.Audit). Safe from any
-// goroutine while the queue runs: it reads only the auditor's own state.
-func (q *PacedQueue) AuditSnapshot() *AuditSnapshot { return q.s.AuditSnapshot() }
-
-// Snapshot copies the scheduler's metrics (nil when the scheduler was
-// created without Config.Metrics), after folding in the driver's intake
-// drop counters. Unlike the Scheduler itself, which the pacing goroutine
-// owns after Start, this is safe to call from any goroutine: it reads
-// only the metrics aggregator and the driver's atomics.
-func (q *PacedQueue) Snapshot() *Snapshot {
-	q.syncMetrics()
-	return q.s.Snapshot()
+// created without Config.Audit), merged across shards under queue ids.
+// Safe from any goroutine while the queue runs: it reads only the
+// auditors' own state.
+func (q *PacedQueue) AuditSnapshot() *AuditSnapshot {
+	if len(q.shards) == 1 || q.shards[0].s.aud == nil {
+		return q.shards[0].s.AuditSnapshot()
+	}
+	snaps := make([]*audit.Snapshot, len(q.shards))
+	for i, sh := range q.shards {
+		snaps[i] = sh.s.AuditSnapshot()
+	}
+	return audit.Merge(snaps, q.remap)
 }
 
-// WriteMetrics renders the scheduler's metrics in Prometheus text format
+// WriteMetrics renders the metrics in Prometheus text format
 // (ErrMetricsDisabled without Config.Metrics), intake drops included.
 // Safe from any goroutine, like Snapshot — wire it straight into an HTTP
 // /metrics handler.
 func (q *PacedQueue) WriteMetrics(w io.Writer) error {
-	q.syncMetrics()
-	return q.s.WriteMetrics(w)
+	snap := q.Snapshot()
+	if snap == nil {
+		return ErrMetricsDisabled
+	}
+	return metrics.WritePrometheus(w, snap)
 }
 
-func (q *PacedQueue) loop() {
-	defer q.done.Done()
+func (sh *shard) loop() {
+	defer sh.done.Done()
 	// Serve inspections that arrived too late for the loop body: any
 	// Inspect that enqueued before Stop flipped stopped (both under q.mu)
 	// has its closure in the channel by the time the loop exits. Pending
 	// corrections are flushed first so inspections see reconciled state.
-	defer q.serveInspect()
+	defer sh.serveInspect()
 	defer func() {
-		q.corrMu.Lock()
-		q.corrLoop = false // later Corrects apply inline
-		q.corrMu.Unlock()
-		if q.corrPending.Load() {
-			q.serveCorrections(Now(time.Now()))
+		sh.corrMu.Lock()
+		sh.corrLoop = false // later Corrects apply inline
+		sh.corrMu.Unlock()
+		if sh.corrPending.Load() {
+			sh.serveCorrections(Now(time.Now()))
 		}
 	}()
+	q, s := sh.q, sh.s
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
-	rings := q.intakeRings()
+	rings := sh.intakeRings()
 	// drainCap bounds one drain sweep to a full lap of the rings so a
 	// sustained producer flood cannot starve the transmit side.
 	drainCap := rings.Cap()
 	linkFree := time.Now()
 	// Running average work per transmitted item (cost units), seeded for
 	// MTU-sized packets; the deficit-recovery burst size is derived from
-	// it so the budget tracks what items actually cost on this queue.
+	// it so the budget tracks what items actually cost on this shard.
 	avgWork := int64(paceMTU)
 	burst := make([]*Packet, 0, paceMaxBurst)
 	buf := make([]*Packet, 0, paceDrainBatch)
@@ -573,32 +886,32 @@ func (q *PacedQueue) loop() {
 		if q.isStopped() {
 			return
 		}
-		if q.inspectPending.Load() > 0 {
-			q.serveInspect()
+		if sh.inspectPending.Load() > 0 {
+			sh.serveInspect()
 		}
 		// The pass's single clock read: everything this pass stamps —
 		// arrivals, spans, flight events, transmits — uses this value.
 		now := time.Now()
 		nowNs := Now(now)
 		q.clk.advance(nowNs)
-		if q.corrPending.Load() {
-			q.serveCorrections(nowNs)
+		if sh.corrPending.Load() {
+			sh.serveCorrections(nowNs)
 		}
 		// Idle-class collection rides the pacing loop like corrections do:
 		// no lock enters the hot path, and a scan can never interleave with
 		// scheduling. The arm-check is one map-length read.
-		if q.s.lcArmed() && nowNs >= q.gcAt {
-			q.s.CollectIdle(nowNs)
-			q.gcAt = nowNs + q.s.lcPeriod()
+		if s.lcArmed() && nowNs >= sh.gcAt {
+			s.CollectIdle(nowNs)
+			sh.gcAt = nowNs + s.lcPeriod()
 		}
 		// The auditor's stalled-backlog probe rides the loop the same way,
 		// so a class whose service stops entirely still fails checks.
-		if q.s.aud != nil && nowNs >= q.auditAt {
-			q.s.auditTick(nowNs)
-			q.auditAt = nowNs + int64(paceAuditPeriod)
+		if s.aud != nil && nowNs >= sh.auditAt {
+			s.auditTick(nowNs)
+			sh.auditAt = nowNs + int64(paceAuditPeriod)
 		}
 		var drained int
-		buf, drained = q.drainIntake(rings, buf, nowNs, drainCap)
+		buf, drained = sh.drainIntake(rings, buf, nowNs, drainCap)
 		if drained > 0 {
 			spin = paceIdleSpin
 		}
@@ -609,7 +922,7 @@ func (q *PacedQueue) loop() {
 				runtime.Gosched()
 				continue
 			}
-			if !q.sleep(timer, linkFree.Sub(now), rings, &buf, nowNs, false) {
+			if !sh.sleep(timer, linkFree.Sub(now), rings, &buf, nowNs, false) {
 				return
 			}
 			continue
@@ -618,14 +931,14 @@ func (q *PacedQueue) loop() {
 		// Steady state sends packet by packet; when the loop is behind
 		// schedule (timer slack, a slow Transmit) it recovers the deficit
 		// with one batched DequeueN call.
-		rate := q.rate.Load()
+		rate := sh.rate.Load()
 		want := 1
 		if behind := now.Sub(linkFree); behind > 0 {
 			if owed := int(uint64(behind) * rate / (uint64(avgWork) * uint64(time.Second))); owed > 1 {
 				want = min(owed, paceMaxBurst)
 			}
 		}
-		burst = q.s.DequeueN(nowNs, want, burst[:0])
+		burst = s.DequeueN(nowNs, want, burst[:0])
 		if len(burst) == 0 {
 			// Idle (empty or upper-limit bound): an idle link accrues no
 			// transmission credit.
@@ -639,7 +952,7 @@ func (q *PacedQueue) loop() {
 				continue
 			}
 			wait := time.Hour
-			if t, ok := q.s.NextReady(nowNs); ok {
+			if t, ok := s.NextReady(nowNs); ok {
 				wait = time.Duration(t - nowNs)
 				if wait <= 0 {
 					wait = time.Microsecond
@@ -647,8 +960,8 @@ func (q *PacedQueue) loop() {
 			}
 			// An armed collector bounds the park so idle classes are still
 			// collected on an otherwise silent link.
-			if q.s.lcArmed() {
-				if d := time.Duration(q.gcAt - nowNs); d < wait {
+			if s.lcArmed() {
+				if d := time.Duration(sh.gcAt - nowNs); d < wait {
 					if d <= 0 {
 						d = time.Millisecond
 					}
@@ -658,15 +971,15 @@ func (q *PacedQueue) loop() {
 			// A backlogged auditor bounds it too: a stalled class must keep
 			// failing probes even when the link itself has nothing to send
 			// (e.g. everything is deferred by an upper limit).
-			if q.s.aud != nil && q.s.Backlog() > 0 {
-				if d := time.Duration(q.auditAt - nowNs); d < wait {
+			if s.aud != nil && s.Backlog() > 0 {
+				if d := time.Duration(sh.auditAt - nowNs); d < wait {
 					if d <= 0 {
 						d = time.Millisecond
 					}
 					wait = d
 				}
 			}
-			if !q.sleep(timer, wait, rings, &buf, nowNs, true) {
+			if !sh.sleep(timer, wait, rings, &buf, nowNs, true) {
 				return
 			}
 			continue
@@ -677,22 +990,23 @@ func (q *PacedQueue) loop() {
 		// ownership passes with the call, and a pooled packet may be
 		// Released (and reused) inside the callback. The transmit stamp is
 		// pass-granular: the pass's one clock read, not a fresh time.Now()
-		// per burst.
+		// per burst. Transmit sees the queue's class id.
 		var total int64
 		txNs := nowNs
-		rec := q.s.rec
+		rec := s.rec
 		for _, p := range burst {
 			total += p.Work()
 			if p.SubmitAt != 0 {
-				q.observeSpan(p, nowNs, txNs)
+				sh.observeSpan(p, nowNs, txNs)
 			}
 			if rec != nil {
 				rec.RecordEv(core.EvTransmit, int32(p.Class), p.Seq, int32(p.Work()), txNs, txNs-nowNs)
 			}
+			p.Class = p.Class<<q.bits | sh.idx
 			q.Transmit(p)
 		}
-		q.sent.Add(uint64(len(burst)))
-		q.sentBytes.Add(total)
+		sh.sent.Add(uint64(len(burst)))
+		sh.sentBytes.Add(total)
 		if per := total / int64(len(burst)); per > 0 {
 			avgWork = (7*avgWork + per) / 8
 		}
@@ -716,60 +1030,126 @@ func (q *PacedQueue) loop() {
 // Transmit: intake wait (submit → intake drain, the Arrival stamp), queue
 // delay (enqueue → dequeue, including pacing-induced waiting), pacing
 // delay (dequeue → hand-off within the burst).
-func (q *PacedQueue) observeSpan(p *Packet, nowNs, txNs int64) {
+func (sh *shard) observeSpan(p *Packet, nowNs, txNs int64) {
 	submitAt := p.SubmitAt
 	p.SubmitAt = 0
-	if q.s.agg == nil {
+	if sh.s.agg == nil {
 		return
 	}
-	q.s.agg.ObserveSpan(p.Arrival-submitAt, nowNs-p.Arrival, txNs-nowNs, txNs)
+	sh.s.agg.ObserveSpan(p.Arrival-submitAt, nowNs-p.Arrival, txNs-nowNs, txNs)
 }
 
-// Inspect runs fn with exclusive access to the underlying Scheduler: on a
-// running queue the pacing goroutine executes it between scheduling
-// passes (Inspect blocks until done); on a queue that is not running it
-// runs inline after any previous run has fully wound down. This is how
-// live tree snapshots (DumpTree) read virtual times and backlogs without
-// a data race. fn must not call back into the PacedQueue and must be
-// quick — the link is stalled while it runs. Inspect must not be called
-// concurrently with Start.
+// Inspect runs fn with exclusive access to each shard's Scheduler in turn
+// (one call per shard): on a running queue the shard's pacing goroutine
+// executes it between scheduling passes (Inspect blocks until done); on a
+// queue that is not running it runs inline after any previous run has
+// fully wound down. This is how live tree snapshots (DumpTree) read
+// virtual times and backlogs without a data race. The Scheduler's class
+// ids are shard-local. fn must not call back into the PacedQueue and must
+// be quick — the shard's link is stalled while it runs. Inspect must not
+// be called concurrently with Start.
 func (q *PacedQueue) Inspect(fn func(s *Scheduler)) {
+	for _, sh := range q.shards {
+		sh.inspect(fn)
+	}
+}
+
+func (sh *shard) inspect(fn func(s *Scheduler)) {
+	q := sh.q
 	q.mu.Lock()
 	if !q.started || q.stopped {
 		q.mu.Unlock()
-		q.done.Wait() // a stopped loop may still be winding down
-		fn(q.s)
+		sh.done.Wait() // a stopped loop may still be winding down
+		fn(sh.s)
 		return
 	}
 	done := make(chan struct{})
-	q.inspectPending.Add(1)
+	sh.inspectPending.Add(1)
 	// Send under q.mu: this orders the send before any Stop (which also
 	// takes q.mu), so the loop's exit drain is guaranteed to see it. A
 	// full channel blocks here, but an earlier Inspect has then already
 	// rung the doorbell, so the loop is on its way to drain.
-	q.inspectQ <- func() {
-		fn(q.s)
+	sh.inspectQ <- func() {
+		fn(sh.s)
 		close(done)
 	}
 	q.mu.Unlock()
-	q.kick()
+	sh.kick()
 	<-done
 }
 
-// The name-addressed admin surface: the same lifecycle operations the
-// Scheduler exposes, made safe on a running queue by routing through the
-// pacing goroutine (Inspect). None of these may be called from Transmit,
-// OnReject or a template's OnCollect — those already run on the pacing
-// goroutine and would deadlock waiting for themselves.
+// serveInspect runs every queued inspection closure. Called only from the
+// pacing goroutine (loop body and exit path).
+func (sh *shard) serveInspect() {
+	for {
+		select {
+		case fn := <-sh.inspectQ:
+			sh.inspectPending.Add(-1)
+			fn()
+		default:
+			return
+		}
+	}
+}
 
-// AddClass creates a class under the named parent ("" = the link root)
-// while the queue runs, returning the new class's id for Packet.Class.
-// Fails with ErrUnknownClass when the parent does not exist and
-// ErrDuplicateClass when the name is taken.
+// The name-addressed admin surface: the lifecycle operations the
+// Scheduler exposes, routed to the owning shard's pacing goroutine.
+
+// lookup finds the shard holding the named class and its local id,
+// lock-free through each shard's name registry.
+func (q *PacedQueue) lookup(name string) (*shard, int, bool) {
+	for _, sh := range q.shards {
+		if id, ok := sh.s.ClassID(name); ok {
+			return sh, id, true
+		}
+	}
+	return nil, 0, false
+}
+
+// ClassID resolves a class name to the id to place in Packet.Class. Safe
+// from any goroutine and lock-free — this is the submit-by-name fast path.
+// The id may be retired concurrently by RemoveClass or the idle
+// collector; packets to it are then refused through OnReject.
+func (q *PacedQueue) ClassID(name string) (int, bool) {
+	sh, id, ok := q.lookup(name)
+	if !ok {
+		return 0, false
+	}
+	return q.globalID(sh.idx, id), true
+}
+
+// shardFor picks the shard a new class under parent lands on: the
+// parent's, or for a top-level class ("") the one placement balances
+// guaranteed load onto.
+func (q *PacedQueue) shardFor(parent string) (*shard, bool) {
+	if parent == "" {
+		q.placeMu.Lock()
+		defer q.placeMu.Unlock()
+		return q.shards[q.place.Pick()], true
+	}
+	sh, _, ok := q.lookup(parent)
+	return sh, ok
+}
+
+// AddClass creates a class under the named parent ("" = the link root),
+// before or after Start, returning the new class's id for Packet.Class.
+// A top-level class is pinned to the shard placement picks; children land
+// on their parent's shard, so each top-level subtree lives inside one
+// scheduler. Fails with ErrUnknownClass when the parent does not exist
+// and ErrDuplicateClass when the name is taken on any shard.
 func (q *PacedQueue) AddClass(parent, name string, cfg ClassConfig) (int, error) {
+	q.adminMu.Lock()
+	defer q.adminMu.Unlock()
+	if _, _, dup := q.lookup(name); dup {
+		return -1, fmt.Errorf("%w %q", ErrDuplicateClass, name)
+	}
+	sh, ok := q.shardFor(parent)
+	if !ok {
+		return -1, fmt.Errorf("%w: parent %q", ErrUnknownClass, parent)
+	}
 	id := -1
 	var err error
-	q.Inspect(func(s *Scheduler) {
+	sh.inspect(func(s *Scheduler) {
 		var p *Class
 		if parent != "" {
 			if p = s.Class(parent); p == nil {
@@ -779,82 +1159,157 @@ func (q *PacedQueue) AddClass(parent, name string, cfg ClassConfig) (int, error)
 		}
 		var w *Class
 		if w, err = s.AddClass(p, name, cfg); err == nil {
-			id = w.ID()
+			id = q.globalID(sh.idx, w.ID())
 		}
 	})
 	return id, err
+}
+
+// withClass runs fn on the named class on its shard's pacing goroutine,
+// failing with ErrUnknownClass when no shard holds the name.
+func (q *PacedQueue) withClass(name string, fn func(sh *shard, w *Class) error) error {
+	q.adminMu.Lock()
+	defer q.adminMu.Unlock()
+	err := fmt.Errorf("%w: %q", ErrUnknownClass, name)
+	if sh, _, ok := q.lookup(name); ok {
+		sh.inspect(func(s *Scheduler) {
+			if w := s.Class(name); w != nil { // else collected since the lookup
+				err = fn(sh, w)
+			}
+		})
+	}
+	return err
 }
 
 // RemoveClass deletes the named class while the queue runs. Fails with
 // ErrUnknownClass for an unknown name, ErrHasChildren for an interior
 // class and ErrClassBusy while the class still holds packets or in-tree
-// scheduling state. Packets for the retired id still in the intake rings
-// are refused at drain time (see OnReject).
+// scheduling state. The retired id is never reused; packets for it still
+// in the intake rings are refused at drain time (see OnReject). The
+// shard's placement floor drops by the class's guarantee.
 func (q *PacedQueue) RemoveClass(name string) error {
-	var err error
-	q.Inspect(func(s *Scheduler) {
-		w := s.Class(name)
-		if w == nil {
-			err = fmt.Errorf("%w: %q", ErrUnknownClass, name)
-			return
-		}
-		err = s.RemoveClass(w)
-	})
-	return err
+	return q.withClass(name, func(sh *shard, w *Class) error { return sh.s.RemoveClass(w) })
 }
 
 // SetCurves replaces the named class's curves while the queue runs — live,
-// even mid-backlog (see Scheduler.SetCurves for the semantics). Fails with
+// even mid-backlog (see Scheduler.SetCurves for the semantics); the
+// shard's placement floor moves with the real-time curve. Fails with
 // ErrUnknownClass for an unknown name and ErrClassBusy when the change
 // would alter curve presence on an active class.
 func (q *PacedQueue) SetCurves(name string, cfg ClassConfig) error {
-	var err error
-	q.Inspect(func(s *Scheduler) {
-		w := s.Class(name)
-		if w == nil {
-			err = fmt.Errorf("%w: %q", ErrUnknownClass, name)
-			return
-		}
-		err = s.SetCurves(w, cfg, Now(time.Now()))
+	return q.withClass(name, func(sh *shard, w *Class) error {
+		return sh.s.SetCurves(w, cfg, Now(time.Now()))
 	})
-	return err
 }
 
-// SetTemplate registers a class template (see Scheduler.SetTemplate) while
-// the queue runs.
+// DelayBound mirrors Scheduler.DelayBound for the named leaf: per
+// Theorems 1 and 2 the bound is its real-time curve's time to deliver u
+// bytes plus one maximum packet's transmission time at the rate its shard
+// never paces below — the line rate with one shard, else the shard's
+// guaranteed floor (an equal split of the line while the floor is zero).
+func (q *PacedQueue) DelayBound(name string, u, lmax int) (time.Duration, error) {
+	var rsc SC
+	var idx int
+	err := q.withClass(name, func(sh *shard, w *Class) error {
+		rsc, idx = w.c.RSC(), sh.idx
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	rate := q.line
+	if len(q.shards) > 1 {
+		q.placeMu.Lock()
+		if f := q.place.Floor(idx); f > 0 {
+			rate = f
+		} else {
+			rate /= uint64(len(q.shards))
+		}
+		q.placeMu.Unlock()
+	}
+	return delayBound(rsc, u, lmax, rate)
+}
+
+// Admissible verifies the composed schedulability condition: the summed
+// per-shard guaranteed floors (each the sup-rate sum of its admitted
+// real-time curves) must fit in the line rate. This is slightly
+// conservative versus Scheduler.Admissible — sup-rates bound the exact
+// curve sum from above — which is the price of giving each shard an
+// independently checkable slice.
+func (q *PacedQueue) Admissible() error {
+	q.placeMu.Lock()
+	total := q.place.TotalFloor()
+	q.placeMu.Unlock()
+	if total > q.line {
+		return fmt.Errorf("%w (guaranteed floors %d B/s exceed line %d B/s)",
+			ErrInadmissible, total, q.line)
+	}
+	return nil
+}
+
+// SetTemplate registers (or replaces) a class template (see
+// Scheduler.SetTemplate) on every shard while the queue runs. Names it
+// creates are placed like AddClass ones; OnCollect runs on the owning
+// shard's pacing goroutine with the retired queue id.
 func (q *PacedQueue) SetTemplate(prefix string, tpl ClassTemplate) {
-	q.Inspect(func(s *Scheduler) { s.SetTemplate(prefix, tpl) })
+	q.adminMu.Lock()
+	defer q.adminMu.Unlock()
+	for _, sh := range q.shards {
+		shTpl := q.shardTemplate(sh.idx, tpl)
+		sh.inspect(func(s *Scheduler) { s.SetTemplate(prefix, shTpl) })
+	}
+}
+
+// shardTemplate adapts a template for one shard: its OnCollect receives
+// queue ids, not the shard's local ones.
+func (q *PacedQueue) shardTemplate(shard int, tpl ClassTemplate) ClassTemplate {
+	if f := tpl.OnCollect; f != nil && q.bits > 0 {
+		tpl.OnCollect = func(name string, id int) { f(name, q.globalID(shard, id)) }
+	}
+	return tpl
 }
 
 // EnsureClass resolves the named class, creating it from the matching
-// template if needed, and returns its id. This is SubmitTo's slow path,
-// exposed for callers that want the id (or the error) before submitting.
+// template if needed, and returns its id: on the template parent's shard,
+// or for a top-level template on the shard placement picks. This is
+// SubmitTo's slow path, exposed for callers that want the id (or the
+// error) before submitting.
 func (q *PacedQueue) EnsureClass(name string) (int, error) {
+	q.adminMu.Lock()
+	defer q.adminMu.Unlock()
+	if sh, id, ok := q.lookup(name); ok {
+		return q.globalID(sh.idx, id), nil
+	}
+	// Every shard carries the same templates, and adminMu orders this
+	// read after the inspections that registered them.
+	parent := ""
+	if tpl, ok := matchTpl(q.shards[0].s.tpls, name); ok {
+		parent = tpl.Parent
+	}
+	sh, ok := q.shardFor(parent)
+	if !ok {
+		return -1, fmt.Errorf("%w: template parent %q", ErrUnknownClass, parent)
+	}
 	id := -1
 	var err error
-	q.Inspect(func(s *Scheduler) {
+	sh.inspect(func(s *Scheduler) {
 		var w *Class
 		if w, err = s.EnsureClass(name, Now(time.Now())); err == nil {
-			id = w.ID()
+			id = q.globalID(sh.idx, w.ID())
 		}
 	})
 	return id, err
 }
 
-// CollectIdle forces an idle-class collection scan now, returning how many
-// classes were collected. The pacing goroutine runs scans on its own
-// schedule; this exists for tests and admin endpoints that need a
-// deterministic point-in-time sweep.
+// CollectIdle forces an idle-class collection scan on every shard now,
+// returning how many classes were collected. The pacing goroutines run
+// scans on their own schedule; this exists for tests and admin endpoints
+// that need a deterministic point-in-time sweep.
 func (q *PacedQueue) CollectIdle() int {
 	n := 0
-	q.Inspect(func(s *Scheduler) { n = s.CollectIdle(Now(time.Now())) })
+	q.Inspect(func(s *Scheduler) { n += s.CollectIdle(Now(time.Now())) })
 	return n
 }
-
-// ClassID resolves a class name to the id to place in Packet.Class. Safe
-// from any goroutine and lock-free — this is the submit-by-name fast path,
-// not an Inspect.
-func (q *PacedQueue) ClassID(name string) (int, bool) { return q.s.ClassID(name) }
 
 // SubmitTo submits by class name: the common case is one lock-free name
 // lookup on top of Submit, and an unknown name is auto-created from the
@@ -863,7 +1318,7 @@ func (q *PacedQueue) ClassID(name string) (int, bool) { return q.s.ClassID(name)
 // the fast path. DropUnknownClass means no template matched the name (or
 // the template refused it); the packet stays with the caller.
 func (q *PacedQueue) SubmitTo(name string, p *Packet) DropReason {
-	if id, ok := q.s.ClassID(name); ok {
+	if id, ok := q.ClassID(name); ok {
 		p.Class = id
 		return q.Submit(p)
 	}
@@ -879,26 +1334,57 @@ func (q *PacedQueue) SubmitTo(name string, p *Packet) DropReason {
 	return q.Submit(p)
 }
 
-// serveInspect runs every queued inspection closure. Called only from the
-// pacing goroutine (loop body and exit path).
-func (q *PacedQueue) serveInspect() {
+// Rebalance runs one rebalancing pass immediately (the rebalancer
+// goroutine does this on its own period; exposed for tests and for
+// drivers running with RebalanceEvery < 0). A no-op with one shard.
+func (q *PacedQueue) Rebalance() {
+	if q.rebal != nil {
+		q.rebalance(Now(time.Now()))
+	}
+}
+
+func (q *PacedQueue) rebalanceLoop() {
+	defer q.rebDone.Done()
+	t := time.NewTicker(q.rebEvery)
+	defer t.Stop()
 	for {
 		select {
-		case fn := <-q.inspectQ:
-			q.inspectPending.Add(-1)
-			fn()
-		default:
+		case <-q.stop:
 			return
+		case now := <-t.C:
+			q.rebalance(Now(now))
+		}
+	}
+}
+
+// rebalance re-divides the line rate between shards: guaranteed floors
+// always, excess by measured demand (EWMA service rate plus intake
+// backlog).
+func (q *PacedQueue) rebalance(now int64) {
+	q.placeMu.Lock()
+	defer q.placeMu.Unlock()
+	q.floorBuf = q.place.Floors(q.floorBuf)
+	for i, sh := range q.shards {
+		q.sentBuf[i] = sh.sentBytes.Load()
+		q.backBuf[i] = 0
+		if r := sh.rings.Load(); r != nil {
+			q.backBuf[i] = int64(r.Depth()) * paceMTU
+		}
+	}
+	for i, rate := range q.rebal.Slices(now, q.sentBuf, q.backBuf, q.floorBuf) {
+		if rate > 0 {
+			q.shards[i].rate.Store(rate)
 		}
 	}
 }
 
 // drainIntake moves buffered arrivals into the scheduler, stamping the
 // arrival clock (unless the submitter already did) so queueing-delay
-// metrics measure from intake. At most cap packets per call.
-func (q *PacedQueue) drainIntake(rings *intake.Queue, buf []*Packet, nowNs int64, limit int) ([]*Packet, int) {
+// metrics measure from intake. At most limit packets per call.
+func (sh *shard) drainIntake(rings *intake.Queue, buf []*Packet, nowNs int64, limit int) ([]*Packet, int) {
+	q, s := sh.q, sh.s
 	if hw := q.drainHW(); hw > 0 {
-		if room := hw - q.s.Backlog(); room < limit {
+		if room := hw - s.Backlog(); room < limit {
 			limit = room
 		}
 	}
@@ -912,7 +1398,8 @@ func (q *PacedQueue) drainIntake(rings *intake.Queue, buf []*Packet, nowNs int64
 			if p.Arrival == 0 {
 				p.Arrival = nowNs
 			}
-			if r := q.s.Offer(p, nowNs); r != DropNone && q.OnReject != nil {
+			if r := s.Offer(p, nowNs); r != DropNone && q.OnReject != nil {
+				p.Class = p.Class<<q.bits | sh.idx
 				q.OnReject(p, r)
 			}
 		}
@@ -943,7 +1430,7 @@ func (q *PacedQueue) drainHW() int {
 // drain are stamped with the caller's pass clock (nowNs) — no extra
 // time.Now(). A pending Inspect or Correct, checked after the flag store
 // for the same reason, returns at once. Returns false on Stop.
-func (q *PacedQueue) sleep(timer *time.Timer, d time.Duration, rings *intake.Queue, buf *[]*Packet, nowNs int64, bailOnArrival bool) bool {
+func (sh *shard) sleep(timer *time.Timer, d time.Duration, rings *intake.Queue, buf *[]*Packet, nowNs int64, bailOnArrival bool) bool {
 	if !timer.Stop() {
 		select {
 		case <-timer.C:
@@ -952,27 +1439,27 @@ func (q *PacedQueue) sleep(timer *time.Timer, d time.Duration, rings *intake.Que
 	}
 	timer.Reset(d)
 	select {
-	case <-q.wake: // clear a stale doorbell; the drain below catches its packet
+	case <-sh.wake: // clear a stale doorbell; the drain below catches its packet
 	default:
 	}
-	q.idle.Store(true)
-	defer q.idle.Store(false)
+	sh.idle.Store(true)
+	defer sh.idle.Store(false)
 	// An Inspect or Correct whose kick ran before idle was set rang no
 	// doorbell; it is visible here instead, so serve it rather than park.
-	if q.inspectPending.Load() > 0 || q.corrPending.Load() {
+	if sh.inspectPending.Load() > 0 || sh.corrPending.Load() {
 		return true
 	}
 	var drained int
-	*buf, drained = q.drainIntake(rings, *buf, nowNs, rings.Cap())
+	*buf, drained = sh.drainIntake(rings, *buf, nowNs, rings.Cap())
 	if bailOnArrival && drained > 0 {
 		return true
 	}
 	select {
-	case <-q.stop:
+	case <-sh.q.stop:
 		return false
 	case <-timer.C:
 		return true
-	case <-q.wake:
+	case <-sh.wake:
 		return true
 	}
 }

@@ -99,8 +99,8 @@ func TestPacedQueueStopIsIdempotentAndRejects(t *testing.T) {
 	if r := q.Submit(&hfsc.Packet{Len: 1, Class: cl.ID()}); r != hfsc.DropStopped {
 		t.Fatalf("submit after stop returned %v, want DropStopped", r)
 	}
-	if q.TrySubmit(&hfsc.Packet{Len: 1, Class: cl.ID()}) {
-		t.Fatal("TrySubmit accepted after stop")
+	if n, r := q.SubmitN([]*hfsc.Packet{{Len: 1, Class: cl.ID()}}); n != 0 || r != hfsc.DropStopped {
+		t.Fatalf("SubmitN after stop returned %d/%v, want 0/DropStopped", n, r)
 	}
 	if st := q.Stats(); st.DropsStopped != 2 || st.Drops() != 2 {
 		t.Fatalf("stats drops = %+v, want 2 stopped", st)
@@ -118,6 +118,12 @@ func TestPacedQueueValidation(t *testing.T) {
 	s2 := hfsc.New(hfsc.Config{LinkRate: hfsc.Mbps})
 	if _, err := hfsc.NewPacedQueue(s2, nil); err == nil {
 		t.Error("nil transmit accepted")
+	}
+	if _, err := hfsc.NewMultiQueue(hfsc.MultiConfig{Shards: 2}, func(p *hfsc.Packet) {}); err == nil {
+		t.Error("multi-shard queue without LinkRate accepted")
+	}
+	if _, err := hfsc.NewMultiQueue(hfsc.MultiConfig{Config: hfsc.Config{LinkRate: hfsc.Mbps}, Shards: 2}, nil); err == nil {
+		t.Error("multi-shard queue with nil transmit accepted")
 	}
 }
 
@@ -180,119 +186,217 @@ func TestPacedQueueIntakeOverflow(t *testing.T) {
 	}
 }
 
+// newTestQueue builds a queue of cfg.Shards shards: the one-shard case
+// through NewPacedQueue around a fresh Scheduler, the others through
+// NewMultiQueue.
+func newTestQueue(t testing.TB, cfg hfsc.MultiConfig, transmit func(*hfsc.Packet)) *hfsc.PacedQueue {
+	t.Helper()
+	var q *hfsc.PacedQueue
+	var err error
+	if cfg.Shards == 1 {
+		q, err = hfsc.NewPacedQueue(hfsc.New(cfg.Config), transmit)
+	} else {
+		q, err = hfsc.NewMultiQueue(cfg, transmit)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.NumShards() != cfg.Shards {
+		t.Fatalf("NumShards = %d, want %d", q.NumShards(), cfg.Shards)
+	}
+	return q
+}
+
 // TestPacedQueueConservation is the multi-producer stress gate (run under
-// -race by make check): N concurrent submitters against one pacing
-// goroutine, asserting conservation — every accepted packet is eventually
-// transmitted exactly once, every refused Submit is accounted by reason —
-// and FIFO order within each producer's class.
+// -race by make check), on one shard and on four with the rebalancer
+// ticking hot: N concurrent producers — half submitting one packet at a
+// time, half batch-submitting pooled packets — assert conservation (every
+// accepted packet is transmitted exactly once, every refusal is accounted
+// by reason) and FIFO order within each producer's class.
 func TestPacedQueueConservation(t *testing.T) {
 	const (
 		producers = 8
 		perProd   = 2000
+		batch     = 16
+		line      = 400_000_000 * hfsc.Bps // pacing is not the bottleneck
 	)
-	// Fast link so pacing is not the bottleneck: 100 B at 100 MB/s = 1 µs.
-	s := hfsc.New(hfsc.Config{LinkRate: 100_000_000 * hfsc.Bps})
-	classes := make([]int, producers)
-	for i := range classes {
-		cl, err := s.AddClass(nil, fmt.Sprintf("p%d", i), hfsc.ClassConfig{
-			LinkShare: hfsc.Linear(100_000_000 / producers),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		classes[i] = cl.ID()
-	}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			var mu sync.Mutex
+			lastSeq := make(map[int]int64, producers)
+			got := make(map[int]uint64, producers)
+			reordered := false
+			q := newTestQueue(t, hfsc.MultiConfig{
+				Config:         hfsc.Config{LinkRate: line},
+				Shards:         shards,
+				RebalanceEvery: 2 * time.Millisecond,
+			}, func(p *hfsc.Packet) {
+				mu.Lock()
+				last, ok := lastSeq[p.Class]
+				if ok && int64(p.Seq) <= last {
+					reordered = true
+				}
+				lastSeq[p.Class] = int64(p.Seq)
+				got[p.Class]++
+				mu.Unlock()
+				p.Release()
+			})
+			q.IntakeShards = 2
+			q.IntakeDepth = 64 // small rings so overflow drops actually happen
+			classes := make([]int, producers)
+			shardUsed := map[int]bool{}
+			for i := range classes {
+				id, err := q.AddClass("", fmt.Sprintf("p%d", i), hfsc.ClassConfig{
+					LinkShare: hfsc.Linear(line / producers),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				classes[i] = id
+				shardUsed[hfsc.ShardOf(q, id)] = true
+			}
+			// Greedy placement of 8 equal top-level classes must use every
+			// shard.
+			if len(shardUsed) != shards {
+				t.Fatalf("8 classes landed on %d of %d shards", len(shardUsed), shards)
+			}
+			q.Start()
+			defer q.Stop()
 
-	var mu sync.Mutex
-	lastSeq := make(map[int]int64, producers)
-	got := make(map[int]uint64, producers)
-	reordered := false
-	q, err := hfsc.NewPacedQueue(s, func(p *hfsc.Packet) {
-		mu.Lock()
-		last, ok := lastSeq[p.Class]
-		if ok && int64(p.Seq) <= last {
-			reordered = true
-		}
-		lastSeq[p.Class] = int64(p.Seq)
-		got[p.Class]++
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.IntakeShards = 4
-	q.IntakeDepth = 64 // small rings so overflow drops actually happen
-	q.Start()
-	defer q.Stop()
+			var accepted, dropped [producers]uint64
+			var wg sync.WaitGroup
+			for pr := 0; pr < producers; pr++ {
+				wg.Add(1)
+				go func(pr int) {
+					defer wg.Done()
+					size := batch
+					if pr%2 == 1 {
+						size = 1 // odd producers submit one packet at a time
+					}
+					ps := make([]*hfsc.Packet, 0, size)
+					seq := uint64(0)
+					for seq < perProd {
+						ps = ps[:0]
+						for len(ps) < size && seq < perProd {
+							p := hfsc.GetPacket()
+							p.Len = 100
+							p.Class = classes[pr]
+							p.Seq = seq
+							seq++
+							ps = append(ps, p)
+						}
+						// SubmitN prefix contract: ps[:n] are gone; on a
+						// refusal, drop ps[n] (releasing it back to the pool)
+						// and retry the rest of the batch.
+						rest := ps
+						for len(rest) > 0 {
+							var n int
+							var r hfsc.DropReason
+							if size == 1 {
+								if r = q.Submit(rest[0]); r == hfsc.DropNone {
+									n = 1
+								}
+							} else {
+								n, r = q.SubmitN(rest)
+							}
+							accepted[pr] += uint64(n)
+							rest = rest[n:]
+							switch r {
+							case hfsc.DropNone:
+							case hfsc.DropIntakeFull:
+								dropped[pr]++
+								rest[0].Release()
+								rest = rest[1:]
+							default:
+								t.Errorf("producer %d: unexpected reason %v", pr, r)
+								return
+							}
+						}
+					}
+				}(pr)
+			}
+			wg.Wait()
 
-	var accepted, dropped [producers]uint64
-	var wg sync.WaitGroup
-	for pr := 0; pr < producers; pr++ {
-		wg.Add(1)
-		go func(pr int) {
-			defer wg.Done()
-			for i := 0; i < perProd; i++ {
-				r := q.Submit(&hfsc.Packet{Len: 100, Class: classes[pr], Seq: uint64(i)})
-				switch r {
-				case hfsc.DropNone:
-					accepted[pr]++
-				case hfsc.DropIntakeFull:
-					dropped[pr]++
-				default:
-					t.Errorf("producer %d: unexpected reason %v", pr, r)
-					return
+			var totalAccepted uint64
+			for pr := 0; pr < producers; pr++ {
+				if accepted[pr]+dropped[pr] != perProd {
+					t.Fatalf("producer %d: %d accepted + %d dropped != %d", pr, accepted[pr], dropped[pr], perProd)
+				}
+				totalAccepted += accepted[pr]
+			}
+
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				st := q.Stats()
+				if st.SentPackets == totalAccepted {
+					break
+				}
+				if st.SentPackets > totalAccepted {
+					t.Fatalf("sent %d > accepted %d (duplication)", st.SentPackets, totalAccepted)
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("timed out: sent %d of %d accepted (intake backlog %d)",
+						st.SentPackets, totalAccepted, st.IntakeBacklog)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			q.Stop()
+
+			// Quiescent conservation: accepted == transmitted + dropped +
+			// backlog, with backlog zero on both levels once everything
+			// drained.
+			st := q.Stats()
+			if st.IntakeBacklog != 0 {
+				t.Fatalf("intake backlog %d after drain", st.IntakeBacklog)
+			}
+			q.Inspect(func(s *hfsc.Scheduler) {
+				if s.Backlog() != 0 {
+					t.Fatalf("scheduler backlog %d after drain", s.Backlog())
+				}
+			})
+			if st.DropsIntakeFull != sum(dropped[:]) {
+				t.Fatalf("stats drops %d, producers saw %d", st.DropsIntakeFull, sum(dropped[:]))
+			}
+			if st.Rate != line || st.Rate < st.GuaranteedRate {
+				t.Fatalf("queue paces at %d (guaranteed %d), want the line rate %d", st.Rate, st.GuaranteedRate, line)
+			}
+			if shards == 1 && st.Shards != nil {
+				t.Fatalf("one-shard Stats has a %d-entry breakdown, want none", len(st.Shards))
+			}
+			if shards > 1 {
+				if len(st.Shards) != shards {
+					t.Fatalf("Stats has %d shards, want %d", len(st.Shards), shards)
+				}
+				var perShard uint64
+				for i, sh := range st.Shards {
+					perShard += sh.SentPackets
+					if sh.Rate < sh.GuaranteedRate {
+						t.Fatalf("shard %d paces at %d below its guaranteed %d", i, sh.Rate, sh.GuaranteedRate)
+					}
+				}
+				if perShard != st.SentPackets {
+					t.Fatalf("per-shard sent %d != merged %d", perShard, st.SentPackets)
 				}
 			}
-		}(pr)
-	}
-	wg.Wait()
+			mu.Lock()
+			defer mu.Unlock()
+			if reordered {
+				t.Fatal("intra-producer reordering observed")
+			}
+			for pr := 0; pr < producers; pr++ {
+				if got[classes[pr]] != accepted[pr] {
+					t.Fatalf("producer %d: transmitted %d, accepted %d", pr, got[classes[pr]], accepted[pr])
+				}
+			}
 
-	var totalAccepted uint64
-	for pr := 0; pr < producers; pr++ {
-		if accepted[pr]+dropped[pr] != perProd {
-			t.Fatalf("producer %d: %d accepted + %d dropped != %d", pr, accepted[pr], dropped[pr], perProd)
-		}
-		totalAccepted += accepted[pr]
-	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st := q.Stats()
-		if st.SentPackets == totalAccepted {
-			break
-		}
-		if st.SentPackets > totalAccepted {
-			t.Fatalf("sent %d > accepted %d (duplication)", st.SentPackets, totalAccepted)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out: sent %d of %d accepted (intake backlog %d, scheduler backlog unknown)",
-				st.SentPackets, totalAccepted, st.IntakeBacklog)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	q.Stop()
-
-	// Quiescent conservation: accepted == transmitted + dropped + backlog,
-	// with backlog zero on both levels once everything drained.
-	st := q.Stats()
-	if st.IntakeBacklog != 0 {
-		t.Fatalf("intake backlog %d after drain", st.IntakeBacklog)
-	}
-	if s.Backlog() != 0 {
-		t.Fatalf("scheduler backlog %d after drain", s.Backlog())
-	}
-	if st.DropsIntakeFull != sum(dropped[:]) {
-		t.Fatalf("stats drops %d, producers saw %d", st.DropsIntakeFull, sum(dropped[:]))
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if reordered {
-		t.Fatal("intra-producer reordering observed")
-	}
-	for pr := 0; pr < producers; pr++ {
-		if got[classes[pr]] != accepted[pr] {
-			t.Fatalf("producer %d: transmitted %d, accepted %d", pr, got[classes[pr]], accepted[pr])
-		}
+			// Post-Stop refusals.
+			if r := q.Submit(&hfsc.Packet{Len: 1, Class: classes[0]}); r != hfsc.DropStopped {
+				t.Fatalf("submit after stop returned %v, want DropStopped", r)
+			}
+			if n, r := q.SubmitN([]*hfsc.Packet{{Len: 1, Class: classes[0]}}); n != 0 || r != hfsc.DropStopped {
+				t.Fatalf("SubmitN after stop returned %d/%v, want 0/DropStopped", n, r)
+			}
+		})
 	}
 }
 
@@ -332,37 +436,37 @@ func BenchmarkIntakeSubmit(b *testing.B) {
 // waits out the park timer (up to an hour on an idle queue). Back-to-back
 // Inspects on an idle queue hit that window within a few thousand calls.
 func TestPacedQueueInspectWakeup(t *testing.T) {
-	s := hfsc.New(hfsc.Config{LinkRate: hfsc.Mbps})
-	if _, err := s.AddClass(nil, "c", hfsc.ClassConfig{LinkShare: hfsc.Linear(hfsc.Mbps)}); err != nil {
-		t.Fatal(err)
-	}
-	q, err := hfsc.NewPacedQueue(s, func(*hfsc.Packet) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.Start()
-	defer q.Stop()
-	calls := 20000
-	if testing.Short() {
-		calls = 5000
-	}
-	watchdog := time.NewTimer(time.Hour)
-	defer watchdog.Stop()
-	done := make(chan struct{})
-	for i := 0; i < calls; i++ {
-		go func() {
-			q.Inspect(func(*hfsc.Scheduler) {})
-			done <- struct{}{}
-		}()
-		watchdog.Reset(2 * time.Second)
-		select {
-		case <-done:
-		case <-watchdog.C:
-			t.Fatalf("Inspect %d of %d did not return within 2s: lost wake-up", i+1, calls)
-		}
-		if !watchdog.Stop() {
-			<-watchdog.C
-		}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			q := newTestQueue(t, hfsc.MultiConfig{Config: hfsc.Config{LinkRate: hfsc.Mbps}, Shards: shards}, func(*hfsc.Packet) {})
+			if _, err := q.AddClass("", "c", hfsc.ClassConfig{LinkShare: hfsc.Linear(hfsc.Mbps)}); err != nil {
+				t.Fatal(err)
+			}
+			q.Start()
+			defer q.Stop()
+			calls := 20000 / shards // each call inspects every shard
+			if testing.Short() {
+				calls /= 4
+			}
+			watchdog := time.NewTimer(time.Hour)
+			defer watchdog.Stop()
+			done := make(chan struct{})
+			for i := 0; i < calls; i++ {
+				go func() {
+					q.Inspect(func(*hfsc.Scheduler) {})
+					done <- struct{}{}
+				}()
+				watchdog.Reset(2 * time.Second)
+				select {
+				case <-done:
+				case <-watchdog.C:
+					t.Fatalf("Inspect %d of %d did not return within 2s: lost wake-up", i+1, calls)
+				}
+				if !watchdog.Stop() {
+					<-watchdog.C
+				}
+			}
+		})
 	}
 }
 
@@ -372,44 +476,53 @@ func TestPacedQueueInspectWakeup(t *testing.T) {
 // goroutine waiting for its own exit; the correction is applied by the
 // loop's exit flush instead.
 func TestPacedQueueCorrectFromTransmitDuringStop(t *testing.T) {
-	s := hfsc.New(hfsc.Config{LinkRate: hfsc.Mbps})
-	cl, err := s.AddClass(nil, "c", hfsc.ClassConfig{LinkShare: hfsc.Linear(hfsc.Mbps)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var q *hfsc.PacedQueue
-	entered := make(chan struct{})
-	var once sync.Once
-	q, err = hfsc.NewPacedQueue(s, func(p *hfsc.Packet) {
-		once.Do(func() {
-			close(entered)
-			// Hold the pacing goroutine inside Transmit until Stop has
-			// begun (submits are then refused), then refund.
-			for q.Submit(&hfsc.Packet{Len: 100, Class: cl.ID()}) != hfsc.DropStopped {
-				time.Sleep(time.Millisecond)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			var q *hfsc.PacedQueue
+			var id int
+			entered := make(chan struct{})
+			var once sync.Once
+			q = newTestQueue(t, hfsc.MultiConfig{Config: hfsc.Config{LinkRate: hfsc.Mbps}, Shards: shards}, func(p *hfsc.Packet) {
+				once.Do(func() {
+					close(entered)
+					// Hold the pacing goroutine inside Transmit until Stop
+					// has begun (submits are then refused), then refund.
+					for q.Submit(&hfsc.Packet{Len: 100, Class: id}) != hfsc.DropStopped {
+						time.Sleep(time.Millisecond)
+					}
+					q.Correct(id, 1000, 0, hfsc.ByLinkShare)
+				})
+			})
+			var err error
+			if id, err = q.AddClass("", "c", hfsc.ClassConfig{LinkShare: hfsc.Linear(hfsc.Mbps)}); err != nil {
+				t.Fatal(err)
 			}
-			q.Correct(cl.ID(), 1000, 0, hfsc.ByLinkShare)
+			q.Start()
+			if r := q.Submit(&hfsc.Packet{Len: 1000, Class: id}); r != hfsc.DropNone {
+				t.Fatalf("submit: %v", r)
+			}
+			<-entered
+			stopped := make(chan struct{})
+			go func() {
+				q.Stop()
+				close(stopped)
+			}()
+			select {
+			case <-stopped:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Stop deadlocked: Correct from Transmit waited for the pacing goroutine")
+			}
+			var got int64 = -1
+			for _, sh := range q.DumpTree().Shards {
+				for _, c := range sh.Classes {
+					if c.Name == "c" {
+						got = c.TotalBytes
+					}
+				}
+			}
+			if got != 0 {
+				t.Fatalf("refund not applied by the exit flush: class total %d bytes, want 0", got)
+			}
 		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.Start()
-	if r := q.Submit(&hfsc.Packet{Len: 1000, Class: cl.ID()}); r != hfsc.DropNone {
-		t.Fatalf("submit: %v", r)
-	}
-	<-entered
-	stopped := make(chan struct{})
-	go func() {
-		q.Stop()
-		close(stopped)
-	}()
-	select {
-	case <-stopped:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Stop deadlocked: Correct from Transmit waited for the pacing goroutine")
-	}
-	if got := cl.Stats().TotalBytes; got != 0 {
-		t.Fatalf("refund not applied by the exit flush: class total %d bytes, want 0", got)
 	}
 }

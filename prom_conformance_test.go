@@ -53,7 +53,7 @@ func TestPrometheusExpositionConformance(t *testing.T) {
 	now := int64(0)
 	for i := 0; i < 50; i++ {
 		for _, c := range classes {
-			s.Enqueue(&hfsc.Packet{Len: 1000, Class: c.ID(), Arrival: now}, now)
+			s.Offer(&hfsc.Packet{Len: 1000, Class: c.ID(), Arrival: now}, now)
 		}
 		for j := 0; j < len(classes); j++ {
 			s.Dequeue(now)
@@ -63,7 +63,7 @@ func TestPrometheusExpositionConformance(t *testing.T) {
 	// Overdrive the short queue so hfsc_guarantee_violations_total has a
 	// nonzero drop-attributed series.
 	for i := 0; i < 10; i++ {
-		s.Enqueue(&hfsc.Packet{Len: 1000, Class: classes[1].ID(), Arrival: now}, now)
+		s.Offer(&hfsc.Packet{Len: 1000, Class: classes[1].ID(), Arrival: now}, now)
 	}
 
 	var buf strings.Builder

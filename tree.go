@@ -135,64 +135,37 @@ func (s *Scheduler) DumpTree() TreeSnapshot {
 	}
 }
 
-// DumpTree captures the class tree with live virtual-time state, safely
-// while the queue runs: the snapshot is taken by the pacing goroutine
-// between scheduling passes (see Inspect).
+// DumpTree captures every shard's class tree with live virtual-time
+// state, safely while the queue runs: each shard's tree is taken by its
+// own pacing goroutine between scheduling passes (see Inspect), one shard
+// after another, so each tree is internally consistent but the shards are
+// not captured at one instant. Class ids are the queue's (see ClassID);
+// with several shards each shard's root has id -1.
 func (q *PacedQueue) DumpTree() TreeSnapshot {
-	var classes []TreeClass
-	q.Inspect(func(s *Scheduler) {
-		classes = treeClasses(s, func(id int) int { return id })
-	})
-	return TreeSnapshot{
-		CapturedAt:  Now(time.Now()),
-		LinkRateBps: q.s.cfg.LinkRate,
-		Shards: []TreeShard{{
-			RateBps: q.Rate(),
-			Classes: classes,
-		}},
-	}
-}
-
-// DumpTree captures every shard's class tree, each snapshotted by its own
-// pacing goroutine (shards are inspected one after another, so the
-// per-shard trees are internally consistent but not captured at one
-// global instant). Class ids are translated to the MultiQueue's global id
-// space; each shard's root keeps id -1 with Parent -1.
-func (m *MultiQueue) DumpTree() TreeSnapshot {
 	out := TreeSnapshot{
 		CapturedAt:  Now(time.Now()),
-		LinkRateBps: m.line,
-		Shards:      make([]TreeShard, len(m.shards)),
+		LinkRateBps: q.line,
+		Shards:      make([]TreeShard, len(q.shards)),
 	}
-	for i, sh := range m.shards {
+	for i, sh := range q.shards {
 		var classes []TreeClass
-		sh.q.Inspect(func(s *Scheduler) {
-			classes = treeClasses(s, func(id int) int { return globalID(sh.globalOf, id) })
+		sh.inspect(func(s *Scheduler) {
+			classes = treeClasses(s, func(id int) int { return q.globalID(i, id) })
 		})
-		out.Shards[i] = TreeShard{Shard: i, RateBps: sh.q.Rate(), Classes: classes}
+		out.Shards[i] = TreeShard{Shard: i, RateBps: sh.rate.Load(), Classes: classes}
 	}
 	return out
 }
 
-// FlightRecorder returns one shard's event ring (nil when Config.Flight
-// is off or the shard index is out of range). Records carry shard-local
-// class ids; use FlightEvents for the merged global-id view.
-func (m *MultiQueue) FlightRecorder(shard int) *FlightRecorder {
-	if shard < 0 || shard >= len(m.shards) {
-		return nil
-	}
-	return m.shards[shard].sched.rec
-}
-
 // FlightEvents snapshots every shard's flight recorder into one stream,
-// appending to buf: class ids translated to the global id space (shard
-// roots become -1), Shard filled in, and the merged result ordered by
-// timestamp. Returns nil buf unchanged when Config.Flight is off. Safe
-// from any goroutine while the shards run.
-func (m *MultiQueue) FlightEvents(buf []FlightRecord) []FlightRecord {
+// appending to buf: class ids translated to the queue's (shard roots of a
+// multi-shard queue become -1), Shard filled in, and the merged result
+// ordered by timestamp. Returns buf unchanged when Config.Flight is off.
+// Safe from any goroutine while the queue runs.
+func (q *PacedQueue) FlightEvents(buf []FlightRecord) []FlightRecord {
 	start := len(buf)
-	for i, sh := range m.shards {
-		rec := sh.sched.rec
+	for i, sh := range q.shards {
+		rec := sh.s.rec
 		if rec == nil {
 			continue
 		}
@@ -200,27 +173,12 @@ func (m *MultiQueue) FlightEvents(buf []FlightRecord) []FlightRecord {
 		buf = rec.Snapshot(buf)
 		for j := from; j < len(buf); j++ {
 			buf[j].Shard = int32(i)
+			buf[j].Class = int32(q.globalID(i, int(buf[j].Class)))
 		}
 	}
-	merged := buf[start:]
-	if len(merged) == 0 {
-		return buf
+	if len(q.shards) > 1 {
+		merged := buf[start:]
+		sort.SliceStable(merged, func(a, b int) bool { return merged[a].TS < merged[b].TS })
 	}
-	// Copied after the snapshots, so every recorded id is in the copy.
-	ids := m.globalIDs()
-	for j := range merged {
-		merged[j].Class = int32(ids.of(int(merged[j].Shard), int(merged[j].Class)))
-	}
-	sort.SliceStable(merged, func(a, b int) bool { return merged[a].TS < merged[b].TS })
 	return buf
-}
-
-// ClassName resolves a global class id to its name ("" for unknown or
-// removed ids), matching the FlightEvents id space — handy as the name
-// function for flight.WriteEvents/ToJSON. Lock-free.
-func (m *MultiQueue) ClassName(id int) string {
-	if mc := m.table.get(id); mc != nil {
-		return mc.cl.Name()
-	}
-	return ""
 }

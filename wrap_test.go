@@ -36,7 +36,7 @@ func TestRemoveClassCleansWrapMaps(t *testing.T) {
 	}
 	// A failed removal must leave the maps intact.
 	b, _ := s.AddClass(nil, "b", ClassConfig{LinkShare: Linear(Mbps)})
-	s.Enqueue(&Packet{Len: 100, Class: b.ID()}, 0)
+	s.Offer(&Packet{Len: 100, Class: b.ID()}, 0)
 	if err := s.RemoveClass(b); err == nil {
 		t.Fatal("removed an active class")
 	}
@@ -88,7 +88,7 @@ func TestRemoveClassStaleWrapperAfterReadd(t *testing.T) {
 	}
 
 	// The live class still schedules under its own curves.
-	if !s.Enqueue(&Packet{Len: 100, Class: gen2.ID()}, 0) {
+	if s.Offer(&Packet{Len: 100, Class: gen2.ID()}, 0) != DropNone {
 		t.Fatal("live class refused traffic")
 	}
 	if p := s.Dequeue(0); p == nil || p.Class != gen2.ID() {
