@@ -33,11 +33,15 @@ test:
 # retires template-created class ids mid-window. The paced queue's admin
 # locking rides along at one shard and at four: name churn against
 # removal, retuning and collection, back-to-back Inspects racing the idle
-# park, and Correct from Transmit while Stop winds the shards down.
+# park, and Correct from Transmit while Stop winds the shards down. The
+# telemetry publish points ride along too: inside Transmit and OnReject
+# the staged events of the pass must already be visible to Snapshot and
+# the flight recorder, at one shard and at four.
 stress:
 	$(GO) test -race -count=3 -run='TestSixteenTenantRaceStress|TestSLOTieredAdmission' ./hfscmw/
 	$(GO) test -race -count=3 -run='TestCorrectCollectIdleRace|TestAuditVerdictCollectIdleRace' .
 	$(GO) test -race -count=3 -run='TestPacedQueueChurn|TestPacedQueueInspectWakeup|TestPacedQueueCorrectFromTransmitDuringStop' .
+	$(GO) test -race -count=3 -run='TestPacedTelemetryVisibleInCallbacks|TestOfferVisibleOnReturn' .
 
 # The datapath conformance/bounds harness: the H-FSC core (BackendHFSC)
 # and the HLS fast path (via BackendAuto on link-sharing-only trees)

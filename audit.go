@@ -97,9 +97,11 @@ func (s *Scheduler) SetAuditBurst(classID int, burst int64) {
 
 // auditTick drives the auditor's stalled-backlog probe; drivers call it
 // from their pacing loop so a class whose service stops entirely still
-// fails checks while it starves.
+// fails checks while it starves. Staged events are published first, so the
+// probe sees every arrival up to now.
 func (s *Scheduler) auditTick(now int64) {
 	if s.aud != nil {
+		s.publish()
 		s.aud.Tick(now)
 	}
 }

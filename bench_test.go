@@ -21,7 +21,6 @@ import (
 	"github.com/netsched/hfsc/internal/core"
 	"github.com/netsched/hfsc/internal/curve"
 	"github.com/netsched/hfsc/internal/experiments"
-	"github.com/netsched/hfsc/internal/flight"
 	"github.com/netsched/hfsc/internal/metrics"
 	"github.com/netsched/hfsc/internal/pfq"
 	"github.com/netsched/hfsc/internal/pktq"
@@ -404,6 +403,69 @@ func BenchmarkDequeueNBurst(b *testing.B) {
 	}
 }
 
+// telemetryAll builds a public scheduler with every telemetry sink on
+// (metrics, flight recorder, auditor, 1-in-64 spans) and 64 real-time +
+// link-sharing leaves holding two packets each, and returns it with one
+// Offer + DequeueN round: a burst of eight departures at a link-paced
+// clock, each offered straight back. The sinks' per-class state is warm
+// on return.
+func telemetryAll(tb testing.TB) (*hfsc.Scheduler, func()) {
+	tb.Helper()
+	const (
+		link   = 125_000_000 // 1 Gb/s
+		leaves = 64
+		burst  = 8
+	)
+	s := hfsc.New(hfsc.Config{LinkRate: link, Metrics: true, Flight: true, Audit: true, Spans: 64})
+	rate := uint64(link / leaves)
+	for i := 0; i < leaves; i++ {
+		cl, err := s.AddClass(nil, fmt.Sprintf("c%d", i), hfsc.ClassConfig{
+			RealTime:  hfsc.Curve(2*rate, 10_000_000, rate),
+			LinkShare: hfsc.Linear(rate),
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for k := 0; k < 2; k++ {
+			if r := s.Offer(&hfsc.Packet{Len: 1000, Class: cl.ID(), Seq: uint64(2*i + k)}, 0); r != hfsc.DropNone {
+				tb.Fatalf("prime offer refused: %v", r)
+			}
+		}
+	}
+	out := make([]*hfsc.Packet, 0, burst)
+	now := int64(0)
+	cycle := func() {
+		now += burst * 8_000 // 8 × 1000 B at 1 Gb/s
+		out = s.DequeueN(now, burst, out[:0])
+		if len(out) == 0 {
+			tb.Fatal("scheduler idled")
+		}
+		for _, p := range out {
+			p.Crit = hfsc.ByNone
+			p.Arrival = now
+			if r := s.Offer(p, now); r != hfsc.DropNone {
+				tb.Fatalf("offer refused: %v", r)
+			}
+		}
+	}
+	for i := 0; i < leaves; i++ { // every packet around the tree a few times
+		cycle()
+	}
+	return s, cycle
+}
+
+// BenchmarkTelemetryAll is the per-packet price of the whole telemetry
+// stack on the public scheduler: ns/op is one Offer + DequeueN round of
+// eight packets with metrics, flight recorder, auditor and spans on.
+func BenchmarkTelemetryAll(b *testing.B) {
+	_, cycle := telemetryAll(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+}
+
 // TestSteadyStateZeroAllocs asserts the tentpole allocation guarantee: once
 // warm, enqueue+dequeue cycles (including activation/passivation churn,
 // upper-limit repositions and batched draining) allocate nothing — rbtree
@@ -494,37 +556,15 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 			s.Enqueue(p, now)
 		})
 	})
-	t.Run("flight-enabled", func(t *testing.T) {
-		// The flight recorder teed next to the aggregator — the full
-		// production tracer stack — must also keep the hot path free:
-		// RecordEv is four atomic stores into a preallocated ring.
-		s := core.New(core.Options{
-			Eligible: core.ElAugmentedTree,
-			Tracer:   core.TeeTracer{metrics.NewAggregator(metrics.Options{}), flight.New(0)},
-		})
-		rate := uint64(1_250_000_000) / 256
-		ids := make([]int, 256)
-		for i := range ids {
-			cl, err := s.AddClass(nil, fmt.Sprintf("c%d", i),
-				curve.SC{M1: 2 * rate, D: 10_000_000, M2: rate}, curve.Linear(rate), curve.SC{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids[i] = cl.ID()
+	t.Run("telemetry-all", func(t *testing.T) {
+		// Every sink on — metrics, flight recorder, auditor, spans — behind
+		// the public wrapper's staging batch: the Offer + DequeueN cycle
+		// stays free once the sinks' per-class state is warm.
+		s, cycle := telemetryAll(t)
+		checkZeroAllocs(t, cycle)
+		if s.FlightRecorder().Recorded() == 0 || s.Snapshot().Classes == nil || s.AuditSnapshot() == nil {
+			t.Fatal("a sink captured nothing")
 		}
-		now := int64(0)
-		for i, id := range ids {
-			s.Enqueue(&pktq.Packet{Len: 1000, Class: id, Seq: uint64(i)}, now)
-		}
-		checkZeroAllocs(t, func() {
-			now += 800
-			p := s.Dequeue(now)
-			if p == nil {
-				t.Fatal("scheduler idled")
-			}
-			p.Crit = 0
-			s.Enqueue(p, now)
-		})
 	})
 	t.Run("public-flight-spans", func(t *testing.T) {
 		// The public wrapper with the recorder and 1-in-64 span sampling

@@ -49,7 +49,7 @@ func auditMain(ops int, jsonPath string, check bool, tolerance float64) {
 	overhead := map[int]sized{}
 	for _, n := range sizes {
 		n := n
-		base, _, _ := best3(func() *core.Scheduler { return buildFlat(n, core.ElAugmentedTree, nil) })
+		base, _, _ := best3(func() *core.Scheduler { return buildFlat(n, core.ElAugmentedTree) })
 		aud, aAud, spAud := best3(func() *core.Scheduler { return buildFlat(n, core.ElAugmentedTree, benchAud()) })
 		snapNs := measureAuditSnapshot(n, ops)
 		overhead[n] = sized{base, aud}

@@ -88,7 +88,7 @@ func measureChurn(resident, ops int) (addNs, removeNs float64) {
 // structures, so this should track the active count, not the resident
 // count — the number that makes 100k auto-created tenants affordable.
 func measureSteadyIdle(total, active, ops int) (nsPerPkt, allocsPerPkt float64) {
-	s := buildFlat(total, core.ElAugmentedTree, nil)
+	s := buildFlat(total, core.ElAugmentedTree)
 	ids := leaves(s)[:active]
 	now := int64(0)
 	for i, id := range ids {
@@ -211,9 +211,9 @@ func churnMain(ops int, jsonPath string, check bool, tolerance float64) {
 		}
 		// Mostly-idle steady state versus the all-active 4096 figure,
 		// measured fresh (best of 3) so the gate compares like with like.
-		ref, _ := measure(buildFlat(4096, core.ElAugmentedTree, nil), ops)
+		ref, _ := measure(buildFlat(4096, core.ElAugmentedTree), ops)
 		for i := 0; i < 2; i++ {
-			if n2, _ := measure(buildFlat(4096, core.ElAugmentedTree, nil), ops); n2 < ref {
+			if n2, _ := measure(buildFlat(4096, core.ElAugmentedTree), ops); n2 < ref {
 				ref = n2
 			}
 		}

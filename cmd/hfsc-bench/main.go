@@ -168,7 +168,7 @@ func main() {
 	metricsOverhead := map[int][2]float64{} // classes → {untraced, +metrics} ns/pkt
 	for _, n := range sizes {
 		n := n
-		flatRB, aRB, spRB := best3(func() *core.Scheduler { return buildFlat(n, core.ElAugmentedTree, nil) })
+		flatRB, aRB, spRB := best3(func() *core.Scheduler { return buildFlat(n, core.ElAugmentedTree) })
 		flatMet, aMet, spMet := best3(func() *core.Scheduler { return buildFlat(n, core.ElAugmentedTree, benchAgg()) })
 		// "+flight" isolates the flight recorder's own cost on top of the
 		// untraced scheduler; the aggregator's cost is the "+metrics"
@@ -179,9 +179,9 @@ func main() {
 		// hook: per-event conformance checks, margin sampling and burn
 		// accounting. -check gates it at 5% over the untraced baseline.
 		flatAud, aAud, spAud := best3(func() *core.Scheduler { return buildFlat(n, core.ElAugmentedTree, benchAud()) })
-		flatCal, aCal := measure(buildFlat(n, core.ElCalendar, nil), *ops)
+		flatCal, aCal := measure(buildFlat(n, core.ElCalendar), *ops)
 		deep, aDeep := measure(buildDeep(n, *depth), *ops)
-		batch, aBatch := measureBatch(buildFlat(n, core.ElAugmentedTree, nil), *ops, *burst)
+		batch, aBatch := measureBatch(buildFlat(n, core.ElAugmentedTree), *ops, *burst)
 		def, aDef := measureDeferred(n, *ops)
 		nr, aNR := measureNextReady(n, *ops)
 		metricsOverhead[n] = [2]float64{flatRB, flatMet}
@@ -384,12 +384,13 @@ func benchAgg() *metrics.Aggregator { return metrics.NewAggregator(metrics.Optio
 func benchAud() *audit.Auditor { return audit.New(audit.Options{LinkRate: 1_250_000_000}) }
 
 // buildFlat creates n leaf classes under the root, each with concave rt
-// and linear ls curves; a non-nil tracer attaches the observability
-// pipeline under test (the "+metrics" and "+flight" columns).
-func buildFlat(n int, el core.EligibleStructure, tracer core.Tracer) *core.Scheduler {
+// and linear ls curves. Sinks attach the observability pipeline under test
+// (the "+metrics", "+flight" and "+audit" columns) the way hfsc.New does:
+// behind one staging core.Batch, which publishes whenever it fills.
+func buildFlat(n int, el core.EligibleStructure, sinks ...core.Sink) *core.Scheduler {
 	opts := core.Options{Eligible: el}
-	if tracer != nil {
-		opts.Tracer = tracer
+	if len(sinks) > 0 {
+		opts.Tracer = core.NewBatch(sinks...)
 	}
 	s := core.New(opts)
 	rate := uint64(1_250_000_000) / uint64(n) // split a 10 Gb/s link

@@ -78,32 +78,32 @@ func main() {
 		name    = map[int]string{}
 		rec     *flight.Recorder
 		aud     *audit.Auditor
+		batch   *core.Batch
 	)
 	switch *algo {
 	case "hfsc":
 		opts := core.Options{DefaultQueueLimit: *qlen}
-		var trs core.TeeTracer
+		var sinks []core.Sink
 		if *events != "" {
 			// Replayed traces report dequeues through the same flight
 			// recorder a live PacedQueue uses, so replay and production
 			// event streams are directly comparable. Size the ring to hold
 			// the whole replay (a handful of events per packet).
 			rec = flight.New(8 * len(recs))
-			trs = append(trs, rec)
+			sinks = append(sinks, rec)
 		}
 		if *auditFlag {
 			// The same online auditor a production scheduler runs
 			// (hfsc.Config.Audit), fed offline — so its verdicts can be
 			// cross-checked against the replay's packet-level statistics.
 			aud = audit.New(audit.Options{LinkRate: spec.LinkRate})
-			trs = append(trs, aud)
+			sinks = append(sinks, aud)
 		}
-		switch len(trs) {
-		case 0:
-		case 1:
-			opts.Tracer = trs[0]
-		default:
-			opts.Tracer = trs
+		if len(sinks) > 0 {
+			// One staging batch feeds every sink, as hfsc.New wires them;
+			// it is published once the replay has run.
+			batch = core.NewBatch(sinks...)
+			opts.Tracer = batch
 		}
 		sch, byName, err := spec.BuildHFSC(opts)
 		if err != nil {
@@ -151,6 +151,9 @@ func main() {
 		fatal(err)
 	}
 	res := sim.RunTrace(s, spec.LinkRate, arr, 0)
+	if batch != nil {
+		batch.Publish()
+	}
 
 	if rec != nil {
 		ew := os.Stdout

@@ -160,12 +160,12 @@ type Config struct {
 	// MetricsWindow is the EWMA time constant for the service-rate
 	// estimators (default one second). Ignored unless Metrics is set.
 	MetricsWindow time.Duration
-	// Flight enables the always-on flight recorder: a fixed-size lock-free
-	// ring capturing every scheduler event (enqueue, drop, dequeue with
-	// slack, activation, deferral, transmit) with timestamps and packet
-	// identity, readable concurrently via FlightRecorder(). The write path
-	// is a handful of atomic stores per event — cheap enough to leave on
-	// in production.
+	// Flight enables the always-on flight recorder: a fixed-size ring
+	// capturing every scheduler event (enqueue, drop, dequeue with slack,
+	// activation, deferral, transmit) with timestamps and packet identity,
+	// readable concurrently via FlightRecorder(). The write path is four
+	// plain word stores per event, under one lock per staged batch —
+	// cheap enough to leave on in production.
 	Flight bool
 	// FlightRecords sizes the recorder ring in records (rounded up to a
 	// power of two; 0 = 4096). Ignored unless Flight is set.
@@ -277,9 +277,14 @@ type Scheduler struct {
 	// HLS scheduler and nil as the hierarchy gains or loses classes it
 	// cannot carry; nonLS counts those classes (real-time or upper-limit
 	// curves present).
-	fast   *hls.Sched
-	nonLS  int
-	tracer core.Tracer
+	fast  *hls.Sched
+	nonLS int
+	// stage is the one tracer the core (and the fast path) writes to, nil
+	// when every sink is off: each event is one append to it, and publish
+	// hands the staged batch to the enabled sinks. Every exported method
+	// that can emit events publishes before it returns; the pacing loop
+	// stages through the unexported variants and publishes once per pass.
+	stage *core.Batch
 	// onPlace, set when a PacedQueue owns this scheduler as a shard, is
 	// told of each class joining (add) or leaving the shard: its real-time
 	// guarantee (sup-rate) and whether it is top-level. The queue keeps
@@ -298,27 +303,23 @@ func New(cfg Config) *Scheduler {
 		VTPolicy:          cfg.VTPolicy,
 		DefaultQueueLimit: cfg.DefaultQueueLimit,
 	}
-	var trs []core.Tracer
+	var sinks []core.Sink
 	if cfg.Metrics {
 		s.agg = metrics.NewAggregator(metrics.Options{Window: cfg.MetricsWindow})
-		trs = append(trs, s.agg)
+		sinks = append(sinks, s.agg)
 	}
 	if cfg.Flight {
 		s.rec = flight.New(cfg.FlightRecords)
-		trs = append(trs, s.rec)
+		sinks = append(sinks, s.rec)
 	}
 	if cfg.Audit {
 		s.aud = audit.New(audit.Options{LinkRate: cfg.LinkRate, Tolerance: cfg.AuditTolerance})
-		trs = append(trs, s.aud)
+		sinks = append(sinks, s.aud)
 	}
-	switch len(trs) {
-	case 0:
-	case 1:
-		opts.Tracer = trs[0]
-	default:
-		opts.Tracer = core.TeeTracer(trs)
+	if len(sinks) > 0 {
+		s.stage = core.NewBatch(sinks...)
+		opts.Tracer = s.stage
 	}
-	s.tracer = opts.Tracer
 	s.core = core.New(opts)
 	if cfg.Backend == BackendAuto {
 		s.fast = hls.New(cfg.DefaultQueueLimit)
@@ -336,9 +337,10 @@ type FlightRecord = flight.Record
 // /debug/hfsc/events endpoint in examples/hfsc-serve.
 type FlightEvent = flight.EventJSON
 
-// FlightRecorder is the lock-free event ring enabled by Config.Flight.
-// Its read side (ReadSince, Snapshot, Recorded, Dropped) is safe from any
-// goroutine, concurrently with scheduling.
+// FlightRecorder is the event ring enabled by Config.Flight. Its read side
+// (ReadSince, Snapshot, Recorded, Dropped) is safe from any goroutine,
+// concurrently with scheduling: a reader copies under the ring's lock in
+// short chunks, so it holds the writer back by at most one chunk copy.
 type FlightRecorder = flight.Recorder
 
 // FlightRecorder returns the scheduler's event ring, or nil when
@@ -448,7 +450,9 @@ func (s *Scheduler) RemoveClass(cl *Class) error {
 	// that sees the name gone sees its series gone too. Every removal path
 	// (CollectIdle, the queues' admin routes, middleware eviction) comes
 	// through here, and a removed class is passive: nothing in flight is
-	// lost.
+	// lost. Staged events are published first, so none of them re-creates
+	// the forgotten state.
+	s.publish()
 	if s.agg != nil {
 		s.agg.Forget(cl.c.ID())
 	}
@@ -524,19 +528,24 @@ func (s *Scheduler) Correct(cl *Class, estimated, actual int64, crit Criterion, 
 	if cl == nil {
 		return 0
 	}
-	return s.correctByID(cl.c.ID(), estimated, actual, crit, now)
+	delta := s.correctByID(cl.c.ID(), estimated, actual, crit, now)
+	s.publish()
+	return delta
 }
 
 // Dequeue returns the next packet to send at the given clock, or nil.
 func (s *Scheduler) Dequeue(now int64) *Packet {
+	var p *Packet
 	if s.fast != nil {
-		p := s.fast.Dequeue(now)
-		if p != nil && s.tracer != nil {
-			s.tracer.Trace(core.EvDequeueLS, s.core.ClassByID(p.Class), p, now, 0)
+		p = s.fast.Dequeue(now)
+		if p != nil && s.stage != nil {
+			s.stage.Trace(core.EvDequeueLS, s.core.ClassByID(p.Class), p, now, 0)
 		}
-		return p
+	} else {
+		p = s.core.Dequeue(now)
 	}
-	return s.core.Dequeue(now)
+	s.publish()
+	return p
 }
 
 // DequeueN dequeues up to max packets at the given clock, appending them to
@@ -546,17 +555,32 @@ func (s *Scheduler) Dequeue(now int64) *Packet {
 // burst path allocation-free in steady state. It stops early when nothing
 // more may be sent at now.
 func (s *Scheduler) DequeueN(now int64, max int, out []*Packet) []*Packet {
+	out = s.dequeueN(now, max, out)
+	s.publish()
+	return out
+}
+
+// dequeueN is DequeueN without the publish, for the pacing loop.
+func (s *Scheduler) dequeueN(now int64, max int, out []*Packet) []*Packet {
 	if s.fast != nil {
 		start := len(out)
 		out = s.fast.DequeueN(now, max, out)
-		if s.tracer != nil {
+		if s.stage != nil {
 			for _, p := range out[start:] {
-				s.tracer.Trace(core.EvDequeueLS, s.core.ClassByID(p.Class), p, now, 0)
+				s.stage.Trace(core.EvDequeueLS, s.core.ClassByID(p.Class), p, now, 0)
 			}
 		}
 		return out
 	}
 	return s.core.DequeueN(now, max, out)
+}
+
+// publish hands the staged events to the enabled sinks (see stage). Only
+// the goroutine that owns the scheduler may call it.
+func (s *Scheduler) publish() {
+	if s.stage != nil {
+		s.stage.Publish()
+	}
 }
 
 // NextReady reports when Dequeue may next succeed after returning nil with

@@ -1,4 +1,4 @@
-// Package audit is the online guarantee auditor: a core.Tracer that
+// Package audit is the online guarantee auditor: a core.Sink that
 // continuously checks the service a class actually received against the
 // service curve it was promised, attributes every violation to a cause,
 // and tracks SLO burn rates over multi-resolution windows.
@@ -28,9 +28,9 @@
 // explains it — genuine scheduler lateness.
 //
 // Like the flight recorder, the auditor is built to stay attached in
-// production: one mutex, O(1) amortized per event, and zero allocations
-// in steady state (per-class state, deadline rings and window slots are
-// allocated once and reused).
+// production: one mutex taken once per staged batch, O(1) amortized per
+// event, and zero allocations in steady state (per-class state, deadline
+// rings and window slots are allocated once and reused).
 package audit
 
 import (
@@ -275,9 +275,10 @@ type classAudit struct {
 }
 
 // Auditor folds scheduler events into per-class guarantee verdicts. It
-// implements core.Tracer; attach it via core.Options.Tracer (or
-// hfsc.Config.Audit). All methods are safe for concurrent use; Trace is
-// allocation-free in steady state.
+// implements core.Sink (attach it behind a core.Batch, as
+// hfsc.Config.Audit does) and, for offline use, core.Tracer. All methods
+// are safe for concurrent use; Apply and Trace are allocation-free in
+// steady state.
 type Auditor struct {
 	mu      sync.Mutex
 	opts    Options
@@ -460,24 +461,40 @@ func (a *Auditor) observeWork(st *classAudit, w int64) {
 	}
 }
 
-// Trace implements core.Tracer.
-func (a *Auditor) Trace(ev core.Event, cl *core.Class, p *pktq.Packet, now, aux int64) {
+// Apply implements core.Sink: it folds a staged batch of events in order
+// under one lock hold.
+func (a *Auditor) Apply(recs []core.Record) {
 	a.mu.Lock()
+	for i := range recs {
+		a.apply(&recs[i])
+	}
+	a.mu.Unlock()
+}
+
+// Trace implements core.Tracer as a one-record Apply.
+func (a *Auditor) Trace(ev core.Event, cl *core.Class, p *pktq.Packet, now, aux int64) {
+	rec := [1]core.Record{core.NewRecord(ev, cl, p, now, aux)}
+	a.Apply(rec[:])
+}
+
+// apply folds one event; the caller holds a.mu.
+func (a *Auditor) apply(r *core.Record) {
+	now, cl := r.Now, r.Class
 	if now > a.lastEvent {
 		a.lastEvent = now
 	}
-	switch ev {
+	switch r.Ev {
 	case core.EvEnqueue:
 		st := a.state(cl)
 		st.refreshCurve(cl)
-		a.enqueue(st, p, now)
+		a.enqueue(st, r.Work, now)
 	case core.EvDrop:
 		st := a.state(cl)
 		st.checks++
 		st.viols[CauseDrop]++
 		st.record(now/int64(time.Second), true)
 	case core.EvDequeueRT, core.EvDequeueLS:
-		a.dequeue(a.state(cl), p, now)
+		a.dequeue(a.state(cl), r.Work, r.Arrival, now)
 	case core.EvDeadlineMiss:
 		a.state(cl).misses++
 	case core.EvUlimitDefer:
@@ -489,18 +506,16 @@ func (a *Auditor) Trace(ev core.Event, cl *core.Class, p *pktq.Packet, now, aux 
 		// computed from; fold it into the busy period's served work so
 		// the cumulative accounting stays truthful.
 		if st.busy {
-			if st.served += aux; st.served < 0 {
+			if st.served += r.Aux; st.served < 0 {
 				st.served = 0
 			}
 		}
 	}
-	a.mu.Unlock()
 }
 
 // enqueue anchors busy periods, checks arrival conformance against the
 // curve's envelope, and pushes the packet's fluid deadline.
-func (a *Auditor) enqueue(st *classAudit, p *pktq.Packet, now int64) {
-	w := p.Work()
+func (a *Auditor) enqueue(st *classAudit, w, now int64) {
 	if !st.busy {
 		st.busy = true
 		st.anchor = now
@@ -528,13 +543,13 @@ func (a *Auditor) enqueue(st *classAudit, p *pktq.Packet, now int64) {
 // dequeue pops the packet's fluid deadline, samples the conformance
 // margin, and counts + attributes a violation when the guarantee was
 // missed.
-func (a *Auditor) dequeue(st *classAudit, p *pktq.Packet, now int64) {
+func (a *Auditor) dequeue(st *classAudit, work, arrival, now int64) {
 	if st.qpkts > 0 {
 		st.qpkts--
 	}
 	// Work was already observed when this packet was enqueued, so the
 	// dequeue side only has to move the served account.
-	st.served += p.Work()
+	st.served += work
 	counted := st.stallCounted
 	st.stallCounted = false
 	emptied := st.qpkts == 0
@@ -544,8 +559,8 @@ func (a *Auditor) dequeue(st *classAudit, p *pktq.Packet, now int64) {
 			margin := dl + a.allow() - now
 			st.sampleMargin(sec, margin)
 			var delay int64
-			if p.Arrival > 0 && now > p.Arrival {
-				delay = now - p.Arrival
+			if arrival > 0 && now > arrival {
+				delay = now - arrival
 				if delay > st.delayMaxNs {
 					st.delayMaxNs = delay
 				}

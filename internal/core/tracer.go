@@ -141,14 +141,94 @@ func (s *Scheduler) trace(ev Event, cl *Class, p *pktq.Packet, now, aux int64) {
 	}
 }
 
-// TeeTracer fans one event stream out to several tracers in order (e.g.
-// the metrics aggregator plus a flight recorder). The zero-length tee is
-// valid and drops every event.
-type TeeTracer []Tracer
+// Record is one staged tracer event: the Trace arguments with the packet
+// reduced to the fields sinks read, so a record stays valid after the
+// packet has been transmitted and released to its pool.
+type Record struct {
+	Ev Event
+	// Class is nil when the event carried no class. A Batch clears its
+	// records once published, so staging never keeps a removed class
+	// alive.
+	Class *Class
+	// Seq, Work and Arrival copy the packet's sequence number, cost
+	// (Packet.Work) and arrival stamp; all zero when the event carried no
+	// packet.
+	Seq     uint64
+	Work    int64
+	Arrival int64
+	Now     int64
+	Aux     int64
+}
 
-// Trace implements Tracer.
-func (t TeeTracer) Trace(ev Event, cl *Class, p *pktq.Packet, now, aux int64) {
-	for _, tr := range t {
-		tr.Trace(ev, cl, p, now, aux)
+// NewRecord builds the record of one Trace call.
+func NewRecord(ev Event, cl *Class, p *pktq.Packet, now, aux int64) Record {
+	r := Record{Ev: ev, Class: cl, Now: now, Aux: aux}
+	if p != nil {
+		r.Seq, r.Work, r.Arrival = p.Seq, p.Work(), p.Arrival
 	}
+	return r
+}
+
+// Sink consumes staged records, a batch at a time, in event order. Apply
+// must not retain the slice.
+type Sink interface {
+	Apply(recs []Record)
+}
+
+// batchCap bounds a Batch between publishes: a run of events that long is
+// published on the spot, so a long burst neither grows the batch without
+// bound nor holds its records back from the sinks for long.
+const batchCap = 256
+
+// Batch is the staging Tracer: each event is one append to a slice owned
+// by the scheduling goroutine, and Publish hands the staged run to every
+// sink in one call. A sink therefore takes its lock (or publishes its
+// cursor) once per batch instead of once per event. Like the scheduler it
+// stages for, a Batch is not safe for concurrent use: its owner decides
+// when records become visible by calling Publish.
+type Batch struct {
+	recs  []Record
+	sinks []Sink
+}
+
+// NewBatch returns a batch publishing to sinks, in order. Its storage is
+// allocated once, at the full batch size.
+func NewBatch(sinks ...Sink) *Batch {
+	return &Batch{recs: make([]Record, 0, batchCap), sinks: sinks}
+}
+
+// Trace implements Tracer by staging the event. It fills the next slot
+// in place: Publish leaves published slots zeroed, so only the fields the
+// event carries are written.
+func (b *Batch) Trace(ev Event, cl *Class, p *pktq.Packet, now, aux int64) {
+	r := b.next()
+	r.Ev, r.Class, r.Now, r.Aux = ev, cl, now, aux
+	if p != nil {
+		r.Seq, r.Work, r.Arrival = p.Seq, p.Work(), p.Arrival
+	}
+}
+
+// next returns the next (zeroed) slot, publishing first if the batch is
+// full.
+func (b *Batch) next() *Record {
+	n := len(b.recs)
+	if n == batchCap {
+		b.Publish()
+		n = 0
+	}
+	b.recs = b.recs[:n+1]
+	return &b.recs[n]
+}
+
+// Publish hands the staged records to every sink and empties the batch.
+// It is a no-op when nothing is staged.
+func (b *Batch) Publish() {
+	if len(b.recs) == 0 {
+		return
+	}
+	for _, s := range b.sinks {
+		s.Apply(b.recs)
+	}
+	clear(b.recs)
+	b.recs = b.recs[:0]
 }

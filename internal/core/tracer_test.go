@@ -124,22 +124,69 @@ func TestEventStringsComplete(t *testing.T) {
 	}
 }
 
-// TeeTracer must deliver each event to every member, in order.
-func TestTeeTracer(t *testing.T) {
-	a, b := &recTracer{}, &recTracer{}
-	tee := core.TeeTracer{a, b}
-	s := core.New(core.Options{Tracer: tee})
+// recSink records every batch it is handed.
+type recSink struct {
+	recs    []core.Record
+	batches int
+}
+
+func (r *recSink) Apply(recs []core.Record) {
+	r.recs = append(r.recs, recs...)
+	r.batches++
+}
+
+// A Batch must hand every staged event to each sink once, in order, only
+// when published; and clear what it published.
+func TestBatchPublishesInOrder(t *testing.T) {
+	direct := &recTracer{}
+	a, b := &recSink{}, &recSink{}
+	batch := core.NewBatch(a, b)
+	s := core.New(core.Options{Tracer: traceFn(func(ev core.Event, cl *core.Class, p *pktq.Packet, now, aux int64) {
+		direct.Trace(ev, cl, p, now, aux)
+		batch.Trace(ev, cl, p, now, aux)
+	})})
 	cl := mustAdd(t, s, nil, "a", lin(mbps), lin(mbps), curve.SC{})
-	s.Enqueue(&pktq.Packet{Len: 100, Class: cl.ID()}, 0)
-	if s.Dequeue(0) == nil {
+	s.Enqueue(&pktq.Packet{Len: 100, Class: cl.ID(), Seq: 7, Arrival: 3}, 5)
+	if s.Dequeue(9) == nil {
 		t.Fatal("dequeue failed")
 	}
-	if len(a.events) == 0 || len(a.events) != len(b.events) {
-		t.Fatalf("tee fan-out mismatch: %d vs %d events", len(a.events), len(b.events))
+	if len(a.recs) != 0 {
+		t.Fatalf("sink saw %d records before Publish", len(a.recs))
 	}
-	for i := range a.events {
-		if a.events[i] != b.events[i] {
-			t.Fatalf("tee order mismatch at %d: %v vs %v", i, a.events[i], b.events[i])
+	batch.Publish()
+	batch.Publish() // nothing staged: no second batch
+	if a.batches != 1 || b.batches != 1 {
+		t.Fatalf("batches = %d, %d, want 1 each", a.batches, b.batches)
+	}
+	if len(a.recs) != len(direct.events) || len(b.recs) != len(direct.events) {
+		t.Fatalf("published %d/%d records, traced %d", len(a.recs), len(b.recs), len(direct.events))
+	}
+	for i, ev := range direct.events {
+		if a.recs[i].Ev != ev || b.recs[i].Ev != ev || a.recs[i].Class != cl {
+			t.Fatalf("record %d: %+v / %+v, want %v on a", i, a.recs[i], b.recs[i], ev)
+		}
+		if ev == core.EvEnqueue {
+			if r := a.recs[i]; r.Seq != 7 || r.Work != 100 || r.Arrival != 3 || r.Now != 5 {
+				t.Fatalf("enqueue record lost packet fields: %+v", r)
+			}
+		}
+	}
+	// A full batch publishes on its own before taking more.
+	for i := 0; i < 1000; i++ {
+		batch.Trace(core.EvUlimitDefer, nil, nil, int64(i), 0)
+	}
+	if got := len(a.recs) - len(direct.events); got < 1000-256 || got >= 1000 {
+		t.Fatalf("%d of 1000 records published before Publish", got)
+	}
+	batch.Publish()
+	for i, r := range a.recs[len(direct.events):] {
+		if r.Now != int64(i) {
+			t.Fatalf("record %d out of order: %+v", i, r)
+		}
+		// Slots are reused in place: a packet-less event must not inherit
+		// an earlier record's class or packet fields.
+		if r.Class != nil || r.Seq != 0 || r.Work != 0 || r.Arrival != 0 {
+			t.Fatalf("record %d carries stale fields: %+v", i, r)
 		}
 	}
 }

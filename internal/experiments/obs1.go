@@ -120,8 +120,9 @@ func Obs1Exposition(w io.Writer) error {
 	return metrics.WritePrometheus(w, agg.Snapshot())
 }
 
-// Obs1Events runs the OBS-1 workload with a flight recorder teed next to
-// the aggregator and writes the full event stream as JSON lines — the
+// Obs1Events runs the OBS-1 workload with a flight recorder staged next
+// to the aggregator (one core.Batch feeding both, as hfsc.New wires
+// them) and writes the full event stream as JSON lines — the
 // artifact behind hfsc-sim's -events flag. Dequeue reporting flows
 // through the same recorder a live PacedQueue uses, so simulated and
 // production event streams are directly comparable.
@@ -130,7 +131,8 @@ func Obs1Events(w io.Writer) error {
 	spec := hierarchy.MustParse(obs1Spec)
 	// Room for the whole run: ~2 s of events at a few events per packet.
 	rec := flight.New(1 << 17)
-	sch, byName, err := spec.BuildHFSC(core.Options{Tracer: core.TeeTracer{agg, rec}})
+	batch := core.NewBatch(agg, rec)
+	sch, byName, err := spec.BuildHFSC(core.Options{Tracer: batch})
 	if err != nil {
 		return err
 	}
@@ -142,6 +144,7 @@ func Obs1Events(w io.Writer) error {
 		source.CBRRate(byName["capped"].ID(), 3, 1500, link/5, 0, end),
 	)
 	run(sch, link, trace, 0)
+	batch.Publish()
 	names := make(map[int32]string, len(byName))
 	for n, c := range byName {
 		names[int32(c.ID())] = n

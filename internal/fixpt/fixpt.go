@@ -78,11 +78,11 @@ func MulDivCeilSat(a, b, c uint64) int64 {
 		return MaxInt64
 	}
 	q, r := bits.Div64(hi, lo, c)
+	if q >= uint64(MaxInt64) { // checked before rounding up: q+1 may wrap
+		return MaxInt64
+	}
 	if r != 0 {
 		q++
-	}
-	if q > uint64(MaxInt64) {
-		return MaxInt64
 	}
 	return int64(q)
 }
@@ -100,10 +100,13 @@ func SatAdd(a, b int64) int64 {
 	return a + b
 }
 
-// SatSub returns a-b clamped below at 0.
+// SatSub returns a-b clamped to [0, MaxInt64].
 func SatSub(a, b int64) int64 {
 	if a < b {
 		return 0
 	}
-	return a - b
+	if d := a - b; d >= 0 {
+		return d
+	}
+	return MaxInt64 // a >= 0 > b and the difference wrapped
 }

@@ -1,27 +1,30 @@
 // Package flight implements the always-on flight recorder: a fixed-size
-// lock-free ring of typed event records written by the scheduling
-// goroutine and read concurrently by debug endpoints.
+// ring of typed event records written by the scheduling goroutine and read
+// concurrently by debug endpoints.
 //
 // Design constraints (see DESIGN.md §5e):
 //
 //   - Writes happen on the hot path, so they must be allocation-free and
-//     cheap: one record is four machine words stored with atomic writes,
-//     then a single cursor publish. No locks, no channels.
-//   - There is exactly one writer per Recorder (the shard's pacing
-//     goroutine / scheduler owner), but any number of readers. Readers
-//     never block the writer; the writer never waits for readers. A slow
-//     reader simply loses the oldest records (counted in Dropped).
-//   - Records must survive the race detector: every shared word is an
-//     atomic.Uint64, so concurrent read/write of a slot being overwritten
-//     is a well-defined (if stale) value, never a torn mixed-epoch record.
-//     Readers detect overwritten slots by re-reading the cursor after the
-//     copy and discarding records that fell out of the validity window.
+//     cheap. The scheduler stages its events and hands them over a batch
+//     at a time (Apply): one lock, four plain word stores per record, one
+//     cursor publish per batch.
+//   - Any number of readers may run beside the writer. A reader copies
+//     under the same lock in chunks of at most readChunk records, so it
+//     delays the writer by at most one chunk copy; the writer never waits
+//     for a reader to finish. A slow reader simply loses the oldest
+//     records (counted in Dropped).
+//   - Every ReadSince result is gapless and consistent: a chunk copy sees
+//     whole records, and a writer that laps the reader between chunks
+//     makes the reader restart from the oldest record still in the ring
+//     rather than splice across the gap.
 package flight
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"github.com/netsched/hfsc/internal/core"
@@ -33,9 +36,12 @@ import (
 // to capture the events around any anomaly a reader reacts to.
 const DefaultRecords = 4096
 
-// minRecords bounds tiny rings: below this the validity window is too
-// narrow for a reader to copy anything before it is overwritten.
+// minRecords bounds tiny rings.
 const minRecords = 64
+
+// readChunk is the most records a reader copies per lock hold: the
+// longest a reader can delay the writer.
+const readChunk = 256
 
 // wordsPerRecord is the ring storage cost of one record: timestamp, aux,
 // packet seq, and a packed ev/class/len word.
@@ -69,17 +75,19 @@ type Record struct {
 	Shard int32
 }
 
-// Recorder is a single-writer, multi-reader ring of Records.
+// Recorder is a mutex-guarded ring of Records: one writer applying
+// staged batches, any number of concurrent readers.
 type Recorder struct {
+	mu sync.Mutex
 	// cursor is the number of records ever written; record i (1-based)
-	// lives in slot (i-1)&mask until overwritten. Readers treat it as the
-	// publish point: slots for records ≤ cursor are fully stored.
+	// lives in slot (i-1)&mask until overwritten. It is stored once per
+	// Apply, under mu, and is atomic only so Recorded and Dropped can read
+	// it without the lock.
 	cursor atomic.Uint64
 	mask   uint64
-	// store holds size*wordsPerRecord atomic words:
-	// [ts, aux, pktseq, packed] per slot. Per-word atomics keep the race
-	// detector happy while costing only plain XCHG stores on amd64/arm64.
-	store []atomic.Uint64
+	// store holds size*wordsPerRecord words, [ts, aux, pktseq, packed]
+	// per slot, all guarded by mu.
+	store []uint64
 }
 
 // New returns a Recorder holding the given number of records, rounded up
@@ -97,7 +105,7 @@ func New(size int) *Recorder {
 	}
 	return &Recorder{
 		mask:  uint64(n - 1),
-		store: make([]atomic.Uint64, n*wordsPerRecord),
+		store: make([]uint64, n*wordsPerRecord),
 	}
 }
 
@@ -141,84 +149,79 @@ func unpack(w uint64) (ev core.Event, class int32, length int32) {
 	return
 }
 
-// RecordEv writes one record. Only the recorder's single writer (the
-// goroutine that owns the scheduler) may call it. It never allocates.
-func (r *Recorder) RecordEv(ev core.Event, class int32, pktSeq uint64, length int32, now, aux int64) {
-	c := r.cursor.Load() // single writer: plain read-modify-write is safe
-	base := (c & r.mask) * wordsPerRecord
-	r.store[base].Store(uint64(now))
-	r.store[base+1].Store(uint64(aux))
-	r.store[base+2].Store(pktSeq)
-	r.store[base+3].Store(pack(ev, class, length))
-	r.cursor.Store(c + 1) // publish
+// Apply implements core.Sink: it writes the records in order under one
+// lock hold and publishes the cursor once. The class id recorded is the
+// scheduler-local id (root = 0); nil classes record -1. It never
+// allocates.
+func (r *Recorder) Apply(recs []core.Record) {
+	r.mu.Lock()
+	c := r.cursor.Load()
+	for i := range recs {
+		rec := &recs[i]
+		class := int32(-1)
+		if rec.Class != nil {
+			class = int32(rec.Class.ID())
+		}
+		base := (c & r.mask) * wordsPerRecord
+		slot := r.store[base : base+wordsPerRecord : base+wordsPerRecord]
+		slot[0] = uint64(rec.Now)
+		slot[1] = uint64(rec.Aux)
+		slot[2] = rec.Seq
+		slot[3] = pack(rec.Ev, class, int32(rec.Work))
+		c++
+	}
+	r.cursor.Store(c)
+	r.mu.Unlock()
 }
 
-// Trace implements core.Tracer, recording every scheduler event. The
-// class id recorded is the scheduler-local id (root = 0); nil classes
-// record -1.
+// Trace implements core.Tracer as a one-record Apply, for offline callers
+// and tests that attach the recorder directly.
 func (r *Recorder) Trace(ev core.Event, cl *core.Class, p *pktq.Packet, now, aux int64) {
-	class := int32(-1)
-	if cl != nil {
-		class = int32(cl.ID())
-	}
-	var seq uint64
-	var length int32
-	if p != nil {
-		seq = p.Seq
-		length = int32(p.Work())
-	}
-	r.RecordEv(ev, class, seq, length, now, aux)
+	rec := [1]core.Record{core.NewRecord(ev, cl, p, now, aux)}
+	r.Apply(rec[:])
 }
 
 // ReadSince copies records with Seq > since into buf (appending) and
-// returns the extended slice plus the newest Seq observed. Records the
-// writer overwrote mid-copy are discarded, so every returned record is
-// consistent; a gap between `since` and the first returned Seq means the
+// returns the extended slice plus the newest Seq observed. The copy runs
+// in chunks of at most readChunk records per lock hold, so a reader
+// delays the writer by at most one chunk. The result is gapless and every
+// record in it is consistent: if the writer overwrites records the reader
+// has not copied yet, the copy restarts from the oldest record still in
+// the ring. A gap between `since` and the first returned Seq means the
 // ring wrapped past the reader. Safe for any number of concurrent
 // callers. Pass the returned cursor back as `since` to tail the stream.
-// Once the ring has wrapped, at most Capacity-1 records are readable:
-// the slot the writer will fill next must be assumed mid-overwrite.
 func (r *Recorder) ReadSince(since uint64, buf []Record) ([]Record, uint64) {
-	c1 := r.cursor.Load()
-	if c1 == 0 || c1 <= since {
-		return buf, c1
-	}
-	// The writer may already be overwriting the slot for record c1+1, so
-	// the oldest possibly-intact record is c1-size+2, not c1-size+1.
-	size := r.mask + 1
-	lo := since + 1
-	if c1+1 > size && lo < c1+1-size+1 {
-		lo = c1 + 1 - size + 1
+	end := r.cursor.Load()
+	if end <= since {
+		return buf, end
 	}
 	start := len(buf)
-	for seq := lo; seq <= c1; seq++ {
-		base := ((seq - 1) & r.mask) * wordsPerRecord
-		ts := int64(r.store[base].Load())
-		aux := int64(r.store[base+1].Load())
-		pktSeq := r.store[base+2].Load()
-		ev, class, length := unpack(r.store[base+3].Load())
-		buf = append(buf, Record{
-			Seq: seq, TS: ts, Ev: ev,
-			Class: class, Len: length, PktSeq: pktSeq, Aux: aux,
-		})
-	}
-	// Re-read the cursor: anything the writer advanced past during the
-	// copy may be torn across epochs, and the slot for the in-flight
-	// record c2+1 may be mid-overwrite. Keep only records still inside
-	// the validity window [c2+1-size+1, c2].
-	c2 := r.cursor.Load()
-	if c2+1 > size {
-		valid := c2 + 1 - size + 1
-		keep := buf[start:]
-		out := keep[:0]
-		for _, rec := range keep {
-			if rec.Seq >= valid {
-				out = append(out, rec)
-			}
+	next := since + 1 // the next record to copy
+	size := r.mask + 1
+	// Grow outside the lock, so no chunk copy waits on the allocator.
+	buf = slices.Grow(buf, int(min(end-since, size)))
+	for next <= end {
+		r.mu.Lock()
+		if c := r.cursor.Load(); c > size && next <= c-size {
+			// Lapped: next is gone. Keep the result gapless by starting
+			// over from the oldest record still held.
+			buf = buf[:start]
+			next = c - size + 1
 		}
-		buf = buf[:start+len(out)]
+		stop := min(end, next+readChunk-1)
+		for seq := next; seq <= stop; seq++ {
+			base := ((seq - 1) & r.mask) * wordsPerRecord
+			slot := r.store[base : base+wordsPerRecord : base+wordsPerRecord]
+			ev, class, length := unpack(slot[3])
+			buf = append(buf, Record{
+				Seq: seq, TS: int64(slot[0]), Ev: ev,
+				Class: class, Len: length, PktSeq: slot[2], Aux: int64(slot[1]),
+			})
+		}
+		r.mu.Unlock()
+		next = stop + 1
 	}
-	return buf, c1
+	return buf, end
 }
 
 // Snapshot appends the full readable window to buf and returns it — a

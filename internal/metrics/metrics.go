@@ -9,9 +9,9 @@
 //   - the core scheduler emits events (enqueue, drop+reason, dequeue with
 //     deadline slack, deadline miss, activation, upper-limit deferral) on
 //     the scheduling path;
-//   - the Aggregator (a core.Tracer) folds them into per-class state under
-//     one mutex — after warm-up it allocates nothing per event, so it can
-//     stay attached in production;
+//   - the Aggregator (a core.Sink) folds them into per-class state under
+//     one mutex, taken once per staged batch (Apply) — after warm-up it
+//     allocates nothing per event, so it can stay attached in production;
 //   - Snapshot copies the state out for callers (safe from any goroutine),
 //     and WritePrometheus renders a snapshot for scraping.
 //
@@ -259,8 +259,9 @@ type Options struct {
 }
 
 // Aggregator folds core scheduler events into per-class metrics. It
-// implements core.Tracer; attach it via core.Options.Tracer (or
-// hfsc.Config.Metrics). All methods are safe for concurrent use; Trace is
+// implements core.Sink (attach it behind a core.Batch, as
+// hfsc.Config.Metrics does) and, for offline use, core.Tracer. All
+// methods are safe for concurrent use; Apply and Trace are
 // allocation-free in steady state.
 type Aggregator struct {
 	mu      sync.Mutex
@@ -349,39 +350,55 @@ func (a *Aggregator) Forget(id int) {
 	a.mu.Unlock()
 }
 
-// Trace implements core.Tracer.
-func (a *Aggregator) Trace(ev core.Event, cl *core.Class, p *pktq.Packet, now, aux int64) {
+// Apply implements core.Sink: it folds a staged batch of events in order
+// under one lock hold.
+func (a *Aggregator) Apply(recs []core.Record) {
 	a.mu.Lock()
+	for i := range recs {
+		a.apply(&recs[i])
+	}
+	a.mu.Unlock()
+}
+
+// Trace implements core.Tracer as a one-record Apply.
+func (a *Aggregator) Trace(ev core.Event, cl *core.Class, p *pktq.Packet, now, aux int64) {
+	rec := [1]core.Record{core.NewRecord(ev, cl, p, now, aux)}
+	a.Apply(rec[:])
+}
+
+// apply folds one event; the caller holds a.mu.
+func (a *Aggregator) apply(r *core.Record) {
+	now, cl, work := r.Now, r.Class, r.Work
 	if now > a.lastEvent {
 		a.lastEvent = now
 	}
-	switch ev {
+	switch r.Ev {
 	case core.EvEnqueue:
 		st := a.state(cl)
 		st.enqPkts++
-		st.enqBytes += p.Work()
+		st.enqBytes += work
 		st.queuedPkts++
-		st.queuedBytes += p.Work()
+		st.queuedBytes += work
 		st.enqAt.push(now)
 	case core.EvDrop:
 		st := a.state(cl)
-		r := core.DropReason(aux)
-		if r == core.DropNone || int(r) >= len(st.drops) {
-			r = core.DropQueueLimit
+		dr := core.DropReason(r.Aux)
+		if dr == core.DropNone || int(dr) >= len(st.drops) {
+			dr = core.DropQueueLimit
 		}
-		st.drops[r]++
+		st.drops[dr]++
 	case core.EvDequeueRT:
 		st := a.state(cl)
 		st.sentRTPkts++
-		st.sentRTBytes += p.Work()
-		st.slack.Observe(aux)
-		st.rateRT.Observe(p.Work(), now)
-		a.dequeued(st, p, now)
+		st.sentRTBytes += work
+		st.slack.Observe(r.Aux)
+		st.rateRT.Observe(work, now)
+		a.dequeued(st, work, now)
 	case core.EvDequeueLS:
 		st := a.state(cl)
 		st.sentLSPkts++
-		st.sentLSBytes += p.Work()
-		a.dequeued(st, p, now)
+		st.sentLSBytes += work
+		a.dequeued(st, work, now)
 	case core.EvDeadlineMiss:
 		a.state(cl).deadlineMiss++
 	case core.EvActivate:
@@ -391,16 +408,15 @@ func (a *Aggregator) Trace(ev core.Event, cl *core.Class, p *pktq.Packet, now, a
 	case core.EvCorrect:
 		st := a.state(cl)
 		st.corrections++
-		st.correctedCost += aux
+		st.correctedCost += r.Aux
 	}
-	a.mu.Unlock()
 }
 
 // dequeued applies the criterion-independent bookkeeping of a departure.
-func (a *Aggregator) dequeued(st *classState, p *pktq.Packet, now int64) {
+func (a *Aggregator) dequeued(st *classState, work, now int64) {
 	st.queuedPkts--
-	st.queuedBytes -= p.Work()
-	st.rate.Observe(p.Work(), now)
+	st.queuedBytes -= work
+	st.rate.Observe(work, now)
 	if at, ok := st.enqAt.pop(); ok && now >= at {
 		st.qdelay.Observe(now - at)
 	}

@@ -52,6 +52,13 @@ const (
 // untrusted classification. When metrics are enabled every refusal is
 // counted under its reason.
 func (s *Scheduler) Offer(p *Packet, now int64) DropReason {
+	r := s.offer(p, now)
+	s.publish()
+	return r
+}
+
+// offer is Offer without the publish, for the pacing loop's drain.
+func (s *Scheduler) offer(p *Packet, now int64) DropReason {
 	if p == nil || p.Work() <= 0 {
 		if s.agg != nil {
 			s.agg.CountDrop(core.DropBadPacket, now)
@@ -67,13 +74,13 @@ func (s *Scheduler) Offer(p *Packet, now int64) DropReason {
 	}
 	if s.fast != nil {
 		if !s.fast.Enqueue(p, now) {
-			if s.tracer != nil {
-				s.tracer.Trace(core.EvDrop, cl, p, now, int64(core.DropQueueLimit))
+			if s.stage != nil {
+				s.stage.Trace(core.EvDrop, cl, p, now, int64(core.DropQueueLimit))
 			}
 			return DropQueueLimit
 		}
-		if s.tracer != nil {
-			s.tracer.Trace(core.EvEnqueue, cl, p, now, 0)
+		if s.stage != nil {
+			s.stage.Trace(core.EvEnqueue, cl, p, now, 0)
 		}
 		return DropNone
 	}

@@ -654,10 +654,11 @@ func (q *PacedQueue) CorrectClass(name string, estimated, actual int64, crit Cri
 	return nil
 }
 
-// serveCorrections applies every queued correction at clock nowNs. Called
-// from the pacing goroutine (loop body and exit path), and inline by
-// Correct on a queue that is not running; corrMu is held across the
-// scheduler calls so inline callers serialize with each other.
+// serveCorrections applies every queued correction at clock nowNs and
+// publishes the staged events, corrections included. Called from the
+// pacing goroutine (loop body and exit path), and inline by Correct on a
+// queue that is not running; corrMu is held across the scheduler calls so
+// inline callers serialize with each other.
 func (sh *shard) serveCorrections(nowNs int64) {
 	sh.corrMu.Lock()
 	defer sh.corrMu.Unlock()
@@ -666,6 +667,7 @@ func (sh *shard) serveCorrections(nowNs int64) {
 		sh.s.correctByID(c.class, c.estimated, c.actual, c.crit, nowNs)
 	}
 	sh.corrQ = sh.corrQ[:0]
+	sh.s.publish()
 }
 
 // isStopped reports whether Stop has been called.
@@ -799,7 +801,9 @@ func (q *PacedQueue) FlightRecorder() *FlightRecorder {
 // With several shards the per-shard snapshots are merged, class ids in the
 // queue's id space, audit verdicts included. Unlike a Scheduler, which
 // the pacing goroutine owns after Start, this is safe to call from any
-// goroutine: it reads only the metrics aggregators and atomics.
+// goroutine: it reads only the metrics aggregators and atomics. It
+// reflects every event up to each pacing goroutine's last publish — at
+// most one pacing pass behind, and current inside Transmit and OnReject.
 func (q *PacedQueue) Snapshot() *Snapshot {
 	if q.shards[0].s.agg == nil {
 		return nil
@@ -857,6 +861,7 @@ func (sh *shard) loop() {
 	// corrections are flushed first so inspections see reconciled state.
 	defer sh.serveInspect()
 	defer func() {
+		sh.s.publish() // the last pass's events
 		sh.corrMu.Lock()
 		sh.corrLoop = false // later Corrects apply inline
 		sh.corrMu.Unlock()
@@ -938,7 +943,7 @@ func (sh *shard) loop() {
 				want = min(owed, paceMaxBurst)
 			}
 		}
-		burst = s.DequeueN(nowNs, want, burst[:0])
+		burst = s.dequeueN(nowNs, want, burst[:0])
 		if len(burst) == 0 {
 			// Idle (empty or upper-limit bound): an idle link accrues no
 			// transmission credit.
@@ -990,18 +995,23 @@ func (sh *shard) loop() {
 		// ownership passes with the call, and a pooled packet may be
 		// Released (and reused) inside the callback. The transmit stamp is
 		// pass-granular: the pass's one clock read, not a fresh time.Now()
-		// per burst. Transmit sees the queue's class id.
+		// per burst.
 		var total int64
 		txNs := nowNs
-		rec := s.rec
 		for _, p := range burst {
 			total += p.Work()
 			if p.SubmitAt != 0 {
 				sh.observeSpan(p, nowNs, txNs)
 			}
-			if rec != nil {
-				rec.RecordEv(core.EvTransmit, int32(p.Class), p.Seq, int32(p.Work()), txNs, txNs-nowNs)
+			if s.rec != nil {
+				s.stage.Trace(core.EvTransmit, s.core.ClassByID(p.Class), p, txNs, txNs-nowNs)
 			}
+		}
+		// The pass's one publish: inside Transmit, Snapshot and the flight
+		// recorder already hold every dequeue and transmit of this burst.
+		// Transmit sees the queue's class id.
+		s.publish()
+		for _, p := range burst {
 			p.Class = p.Class<<q.bits | sh.idx
 			q.Transmit(p)
 		}
@@ -1078,13 +1088,15 @@ func (sh *shard) inspect(fn func(s *Scheduler)) {
 	<-done
 }
 
-// serveInspect runs every queued inspection closure. Called only from the
-// pacing goroutine (loop body and exit path).
+// serveInspect runs every queued inspection closure, each after a
+// publish so it sees every event so far. Called only from the pacing
+// goroutine (loop body and exit path).
 func (sh *shard) serveInspect() {
 	for {
 		select {
 		case fn := <-sh.inspectQ:
 			sh.inspectPending.Add(-1)
+			sh.s.publish()
 			fn()
 		default:
 			return
@@ -1380,7 +1392,8 @@ func (q *PacedQueue) rebalance(now int64) {
 
 // drainIntake moves buffered arrivals into the scheduler, stamping the
 // arrival clock (unless the submitter already did) so queueing-delay
-// metrics measure from intake. At most limit packets per call.
+// metrics measure from intake. At most limit packets per call. Their
+// events are staged, not published, except before an OnReject call.
 func (sh *shard) drainIntake(rings *intake.Queue, buf []*Packet, nowNs int64, limit int) ([]*Packet, int) {
 	q, s := sh.q, sh.s
 	if hw := q.drainHW(); hw > 0 {
@@ -1398,7 +1411,8 @@ func (sh *shard) drainIntake(rings *intake.Queue, buf []*Packet, nowNs int64, li
 			if p.Arrival == 0 {
 				p.Arrival = nowNs
 			}
-			if r := s.Offer(p, nowNs); r != DropNone && q.OnReject != nil {
+			if r := s.offer(p, nowNs); r != DropNone && q.OnReject != nil {
+				s.publish() // OnReject sees the drop counted
 				p.Class = p.Class<<q.bits | sh.idx
 				q.OnReject(p, r)
 			}
@@ -1454,6 +1468,7 @@ func (sh *shard) sleep(timer *time.Timer, d time.Duration, rings *intake.Queue, 
 	if bailOnArrival && drained > 0 {
 		return true
 	}
+	sh.s.publish() // nothing staged waits out the park
 	select {
 	case <-sh.q.stop:
 		return false
