@@ -7,8 +7,8 @@
 //     check regresses; ns/op is the cost of regenerating the artifact.
 //   - BenchmarkOverhead* measures the paper's computation-overhead table
 //     (TBL-O1): per-packet enqueue+dequeue cost versus the number of
-//     classes, for both Section-V eligible-list structures and for deep
-//     hierarchies. The paper's claim is O(log n) growth.
+//     classes, for flat and deep hierarchies. The paper's claim is
+//     O(log n) growth.
 //
 // Run: go test -bench=. -benchmem
 package hfsc_test
@@ -55,9 +55,9 @@ func BenchmarkAblationVT(b *testing.B)     { benchExperiment(b, "abl2") }
 func BenchmarkAblationUlimit(b *testing.B) { benchExperiment(b, "abl3") }
 
 // buildFlat creates n real-time+link-sharing leaves under the root.
-func buildFlat(b testing.TB, n int, el core.EligibleStructure) (*core.Scheduler, []int) {
+func buildFlat(b testing.TB, n int) (*core.Scheduler, []int) {
 	b.Helper()
-	s := core.New(core.Options{Eligible: el})
+	s := core.New(core.Options{})
 	rate := uint64(1_250_000_000) / uint64(n)
 	ids := make([]int, n)
 	for i := 0; i < n; i++ {
@@ -123,11 +123,11 @@ func pump(b *testing.B, s *core.Scheduler, ids []int) {
 }
 
 // BenchmarkOverheadFlat is TBL-O1's main series: per-packet cost vs class
-// count with the augmented-tree eligible list.
+// count on a flat hierarchy of real-time+link-sharing leaves.
 func BenchmarkOverheadFlat(b *testing.B) {
 	for _, n := range []int{16, 64, 256, 1024, 4096} {
 		b.Run(fmt.Sprintf("classes=%d", n), func(b *testing.B) {
-			s, ids := buildFlat(b, n, core.ElAugmentedTree)
+			s, ids := buildFlat(b, n)
 			pump(b, s, ids)
 		})
 	}
@@ -138,8 +138,7 @@ func BenchmarkOverheadFlat(b *testing.B) {
 func buildFlatTraced(b testing.TB, n int) (*core.Scheduler, []int) {
 	b.Helper()
 	s := core.New(core.Options{
-		Eligible: core.ElAugmentedTree,
-		Tracer:   metrics.NewAggregator(metrics.Options{}),
+		Tracer: metrics.NewAggregator(metrics.Options{}),
 	})
 	rate := uint64(1_250_000_000) / uint64(n)
 	ids := make([]int, n)
@@ -174,23 +173,6 @@ func BenchmarkOverheadDeep(b *testing.B) {
 			s, ids := buildDeep(b, n, 4)
 			pump(b, s, ids)
 		})
-	}
-}
-
-// BenchmarkEligibleStructures is ABL-1: the augmented red-black tree
-// versus the calendar-queue + deadline-heap eligible list (the two
-// implementations Section V proposes).
-func BenchmarkEligibleStructures(b *testing.B) {
-	for _, cfg := range []struct {
-		name string
-		el   core.EligibleStructure
-	}{{"rbtree", core.ElAugmentedTree}, {"calendar", core.ElCalendar}} {
-		for _, n := range []int{64, 1024} {
-			b.Run(fmt.Sprintf("%s/classes=%d", cfg.name, n), func(b *testing.B) {
-				s, ids := buildFlat(b, n, cfg.el)
-				pump(b, s, ids)
-			})
-		}
 	}
 }
 
@@ -308,7 +290,7 @@ func BenchmarkNextReady(b *testing.B) {
 // in steady state with packet reuse: the hot path itself should be
 // allocation-free (the rbtree node free list and in-place repositioning).
 func BenchmarkSteadyStateAllocs(b *testing.B) {
-	s, ids := buildFlat(b, 256, core.ElAugmentedTree)
+	s, ids := buildFlat(b, 256)
 	now := int64(0)
 	for i, id := range ids {
 		s.Enqueue(&pktq.Packet{Len: 1000, Class: id, Seq: uint64(i)}, now)
@@ -381,7 +363,7 @@ func BenchmarkCoreRoundRobin(b *testing.B) {
 // call draining a 32-packet burst, versus 32 Dequeue calls.
 func BenchmarkDequeueNBurst(b *testing.B) {
 	const n, burst = 256, 32
-	s, ids := buildFlat(b, n, core.ElAugmentedTree)
+	s, ids := buildFlat(b, n)
 	now := int64(0)
 	for i, id := range ids {
 		s.Enqueue(&pktq.Packet{Len: 1000, Class: id, Seq: uint64(i)}, now)
@@ -473,27 +455,7 @@ func BenchmarkTelemetryAll(b *testing.B) {
 // handles stable.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	t.Run("flat-rt", func(t *testing.T) {
-		s, ids := buildFlat(t, 256, core.ElAugmentedTree)
-		now := int64(0)
-		for i, id := range ids {
-			s.Enqueue(&pktq.Packet{Len: 1000, Class: id, Seq: uint64(i)}, now)
-		}
-		checkZeroAllocs(t, func() {
-			now += 800
-			p := s.Dequeue(now)
-			if p == nil {
-				t.Fatal("scheduler idled")
-			}
-			p.Crit = 0
-			s.Enqueue(p, now)
-		})
-	})
-	t.Run("flat-calendar", func(t *testing.T) {
-		// The calendar eligible list must match the rbtree gate: entries
-		// come from the calendar's free list and the deadline heap stores
-		// positions in the class itself, so churn through both structures
-		// (future e -> sweep -> heap -> service) allocates nothing.
-		s, ids := buildFlat(t, 256, core.ElCalendar)
+		s, ids := buildFlat(t, 256)
 		now := int64(0)
 		for i, id := range ids {
 			s.Enqueue(&pktq.Packet{Len: 1000, Class: id, Seq: uint64(i)}, now)
@@ -653,7 +615,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	})
 	t.Run("dequeue-n", func(t *testing.T) {
 		const burst = 16
-		s, ids := buildFlat(t, 256, core.ElAugmentedTree)
+		s, ids := buildFlat(t, 256)
 		now := int64(0)
 		for i, id := range ids {
 			s.Enqueue(&pktq.Packet{Len: 1000, Class: id, Seq: uint64(i)}, now)

@@ -49,8 +49,8 @@ func auditMain(ops int, jsonPath string, check bool, tolerance float64) {
 	overhead := map[int]sized{}
 	for _, n := range sizes {
 		n := n
-		base, _, _ := best3(func() *core.Scheduler { return buildFlat(n, core.ElAugmentedTree) })
-		aud, aAud, spAud := best3(func() *core.Scheduler { return buildFlat(n, core.ElAugmentedTree, benchAud()) })
+		base, _, _ := best3(func() *core.Scheduler { return buildFlat(n) })
+		aud, aAud, spAud := best3(func() *core.Scheduler { return buildFlat(n, benchAud()) })
 		snapNs := measureAuditSnapshot(n, ops)
 		overhead[n] = sized{base, aud}
 		recordSpread("audit-flat", n, aud, aAud, spAud)
@@ -104,7 +104,7 @@ func auditMain(ops int, jsonPath string, check bool, tolerance float64) {
 // the row tracks the constant.
 func measureAuditSnapshot(n, ops int) float64 {
 	aud := benchAud()
-	s := buildFlat(n, core.ElAugmentedTree, aud)
+	s := buildFlat(n, aud)
 	ids := leaves(s)
 	now := int64(0)
 	for i, id := range ids {

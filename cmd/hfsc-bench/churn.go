@@ -16,7 +16,6 @@ import (
 	"time"
 
 	hfsc "github.com/netsched/hfsc"
-	"github.com/netsched/hfsc/internal/core"
 	"github.com/netsched/hfsc/internal/pktq"
 	"github.com/netsched/hfsc/internal/stats"
 )
@@ -88,7 +87,7 @@ func measureChurn(resident, ops int) (addNs, removeNs float64) {
 // structures, so this should track the active count, not the resident
 // count — the number that makes 100k auto-created tenants affordable.
 func measureSteadyIdle(total, active, ops int) (nsPerPkt, allocsPerPkt float64) {
-	s := buildFlat(total, core.ElAugmentedTree)
+	s := buildFlat(total)
 	ids := leaves(s)[:active]
 	now := int64(0)
 	for i, id := range ids {
@@ -211,9 +210,9 @@ func churnMain(ops int, jsonPath string, check bool, tolerance float64) {
 		}
 		// Mostly-idle steady state versus the all-active 4096 figure,
 		// measured fresh (best of 3) so the gate compares like with like.
-		ref, _ := measure(buildFlat(4096, core.ElAugmentedTree), ops)
+		ref, _ := measure(buildFlat(4096), ops)
 		for i := 0; i < 2; i++ {
-			if n2, _ := measure(buildFlat(4096, core.ElAugmentedTree), ops); n2 < ref {
+			if n2, _ := measure(buildFlat(4096), ops); n2 < ref {
 				ref = n2
 			}
 		}

@@ -1,15 +1,14 @@
 // Command hfsc-bench measures the scheduler's per-packet computation
 // overhead — the paper's Section VII measurement experiment ("determine
 // the computation overhead") — as enqueue and dequeue cost versus the
-// number of classes, for flat and deep hierarchies, for both eligible-list
-// structures of Section V, for the upper-limit worst cases (every sibling
-// deferred) and for the batched DequeueN path.
+// number of classes, for flat and deep hierarchies, for the upper-limit
+// worst cases (every sibling deferred) and for the batched DequeueN path.
 //
 // Absolute numbers reflect this machine; the paper's claim is the shape:
 // per-packet cost grows slowly (O(log n)) with the number of classes.
 //
 // Alongside the text table the command maintains a machine-readable
-// BENCH_overhead.json (ns/pkt and allocs/pkt per size and structure) so the
+// BENCH_overhead.json (ns/pkt and allocs/pkt per size and workload) so the
 // repository's performance trajectory is tracked over time: the file's
 // "baseline" section is preserved across runs while "current" is replaced.
 package main
@@ -144,7 +143,7 @@ func main() {
 			AllocsPerPkt: allocs, SpreadPct: spread})
 	}
 
-	tbl := &stats.Table{Header: []string{"classes", "flat rbtree", "+metrics", "+flight", "+audit", "flat calendar",
+	tbl := &stats.Table{Header: []string{"classes", "flat rbtree", "+metrics", "+flight", "+audit",
 		fmt.Sprintf("depth-%d tree", *depth), fmt.Sprintf("batch n=%d", *burst), "deferred", "nextready"}}
 	// The flat-rbtree, +metrics and +flight rows feed tight -check gates
 	// (15%, 25%-overhead and 5%), so they take the best of three runs —
@@ -168,20 +167,19 @@ func main() {
 	metricsOverhead := map[int][2]float64{} // classes → {untraced, +metrics} ns/pkt
 	for _, n := range sizes {
 		n := n
-		flatRB, aRB, spRB := best3(func() *core.Scheduler { return buildFlat(n, core.ElAugmentedTree) })
-		flatMet, aMet, spMet := best3(func() *core.Scheduler { return buildFlat(n, core.ElAugmentedTree, benchAgg()) })
+		flatRB, aRB, spRB := best3(func() *core.Scheduler { return buildFlat(n) })
+		flatMet, aMet, spMet := best3(func() *core.Scheduler { return buildFlat(n, benchAgg()) })
 		// "+flight" isolates the flight recorder's own cost on top of the
 		// untraced scheduler; the aggregator's cost is the "+metrics"
 		// column. -check gates this row at 5% over the frozen untraced
 		// baseline.
-		flatFlt, aFlt, spFlt := best3(func() *core.Scheduler { return buildFlat(n, core.ElAugmentedTree, flight.New(0)) })
+		flatFlt, aFlt, spFlt := best3(func() *core.Scheduler { return buildFlat(n, flight.New(0)) })
 		// "+audit" is the online guarantee auditor riding the same tracer
 		// hook: per-event conformance checks, margin sampling and burn
 		// accounting. -check gates it at 5% over the untraced baseline.
-		flatAud, aAud, spAud := best3(func() *core.Scheduler { return buildFlat(n, core.ElAugmentedTree, benchAud()) })
-		flatCal, aCal := measure(buildFlat(n, core.ElCalendar), *ops)
+		flatAud, aAud, spAud := best3(func() *core.Scheduler { return buildFlat(n, benchAud()) })
 		deep, aDeep := measure(buildDeep(n, *depth), *ops)
-		batch, aBatch := measureBatch(buildFlat(n, core.ElAugmentedTree), *ops, *burst)
+		batch, aBatch := measureBatch(buildFlat(n), *ops, *burst)
 		def, aDef := measureDeferred(n, *ops)
 		nr, aNR := measureNextReady(n, *ops)
 		metricsOverhead[n] = [2]float64{flatRB, flatMet}
@@ -189,7 +187,6 @@ func main() {
 		recordSpread("flat-rbtree-metrics", n, flatMet, aMet, spMet)
 		recordSpread("flat-rbtree-flight", n, flatFlt, aFlt, spFlt)
 		recordSpread("flat-rbtree-audit", n, flatAud, aAud, spAud)
-		record("flat-calendar", n, flatCal, aCal)
 		record(fmt.Sprintf("deep-%d", *depth), n, deep, aDeep)
 		record(fmt.Sprintf("batch-%d", *burst), n, batch, aBatch)
 		record("deferred-firstfit", n, def, aDef)
@@ -199,7 +196,6 @@ func main() {
 			fmt.Sprintf("%.0f ns/pkt", flatMet),
 			fmt.Sprintf("%.0f ns/pkt", flatFlt),
 			fmt.Sprintf("%.0f ns/pkt", flatAud),
-			fmt.Sprintf("%.0f ns/pkt", flatCal),
 			fmt.Sprintf("%.0f ns/pkt", deep),
 			fmt.Sprintf("%.0f ns/pkt", batch),
 			fmt.Sprintf("%.0f ns/pkt", def),
@@ -387,8 +383,8 @@ func benchAud() *audit.Auditor { return audit.New(audit.Options{LinkRate: 1_250_
 // and linear ls curves. Sinks attach the observability pipeline under test
 // (the "+metrics", "+flight" and "+audit" columns) the way hfsc.New does:
 // behind one staging core.Batch, which publishes whenever it fills.
-func buildFlat(n int, el core.EligibleStructure, sinks ...core.Sink) *core.Scheduler {
-	opts := core.Options{Eligible: el}
+func buildFlat(n int, sinks ...core.Sink) *core.Scheduler {
+	var opts core.Options
 	if len(sinks) > 0 {
 		opts.Tracer = core.NewBatch(sinks...)
 	}

@@ -31,8 +31,7 @@ func (s *Scheduler) RemoveClass(cl *Class) error {
 		return fmt.Errorf("core: class %q still has queued packets: %w", cl.name, ErrClassActive)
 	}
 	h := cl.hot
-	if h.inVT || h.fitnode != nil ||
-		h.elnode != nil || h.elcal != nil || h.hpi != 0 {
+	if h.inVT || h.fitnode != nil || h.elnode != nil {
 		return fmt.Errorf("core: class %q: %w", cl.name, ErrClassActive)
 	}
 	p := cl.parent
@@ -111,7 +110,7 @@ func (s *Scheduler) SetCurves(cl *Class, rsc, fsc, usc curve.SC, now int64) erro
 		if active && cl.IsLeaf() && cl.queue.Len() > 0 {
 			h.e = cl.eligible.Y2X(h.cumul)
 			h.d = cl.deadline.Y2X(h.cumul + cl.queue.Front().Work())
-			s.el.update(h, now)
+			s.el.update(h)
 		}
 	}
 	if cl.hasFSC {
@@ -135,7 +134,6 @@ func (s *Scheduler) SetCurves(cl *Class, rsc, fsc, usc curve.SC, now int64) erro
 			s.refreshF(c)
 		}
 	}
-	s.maybeFallBack(rsc)
 	return nil
 }
 
@@ -162,7 +160,7 @@ func (s *Scheduler) CheckInvariants() error {
 			}
 			// A backlogged leaf with an rsc must be in the eligible list;
 			// an idle one must not.
-			inEl := h.elnode != nil || h.elcal != nil || h.hpi != 0
+			inEl := h.elnode != nil
 			if c.hasRSC && c != s.root {
 				if active == 1 && !inEl {
 					return 0, fmt.Errorf("backlogged rt leaf %q not in eligible list", c.name)
@@ -268,6 +266,18 @@ func (s *Scheduler) CheckInvariants() error {
 	}
 	if fitMembers != s.fittree.Len() {
 		return fmt.Errorf("fit index holds %d classes, want %d", s.fittree.Len(), fitMembers)
+	}
+	// The eligible tree holds exactly the backlogged real-time leaves, in
+	// (e, id) order, with a correct min-(d, id) augmentation (minDeadline's
+	// search invariant).
+	elMembers := 0
+	s.eachRTBacklogged(func(*hot) { elMembers++ })
+	n, err := s.el.verify()
+	if err != nil {
+		return err
+	}
+	if n != elMembers || s.el.tree.Len() != elMembers {
+		return fmt.Errorf("eligible tree holds %d nodes (size %d), want %d backlogged rt leaves", n, s.el.tree.Len(), elMembers)
 	}
 	return nil
 }

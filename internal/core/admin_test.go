@@ -107,65 +107,17 @@ func TestSetCurves(t *testing.T) {
 	}
 }
 
-// TestEligibleStructuresProduceSameSchedule runs an identical workload
-// through both Section-V eligible-list structures: the packet-by-packet
-// schedule must match exactly.
-func TestEligibleStructuresProduceSameSchedule(t *testing.T) {
-	build := func(el core.EligibleStructure) (*core.Scheduler, []int) {
-		s := core.New(core.Options{Eligible: el})
-		ids := make([]int, 4)
-		for i := range ids {
-			rate := mbps * uint64(i+1)
-			cl := mustAdd(t, s, nil, fmt.Sprintf("c%d", i),
-				curve.SC{M1: 2 * rate, D: 10 * ms, M2: rate}, lin(rate), curve.SC{})
-			ids[i] = cl.ID()
-		}
-		return s, ids
-	}
-	mkTrace := func(ids []int) []sim.Arrival {
-		rng := rand.New(rand.NewSource(55))
-		var tr []sim.Arrival
-		for f, id := range ids {
-			at := int64(0)
-			for at < 150*ms {
-				tr = append(tr, sim.Arrival{At: at, Len: rng.Intn(1400) + 100, Class: id, Flow: f})
-				at += int64(rng.Intn(int(3 * ms)))
-				if rng.Intn(12) == 0 {
-					at += int64(rng.Intn(int(20 * ms)))
-				}
-			}
-		}
-		sim.SortArrivals(tr)
-		return tr
-	}
-	s1, ids1 := build(core.ElAugmentedTree)
-	s2, _ := build(core.ElCalendar)
-	res1 := sim.RunTrace(s1, 12*mbps, mkTrace(ids1), 0)
-	res2 := sim.RunTrace(s2, 12*mbps, mkTrace(ids1), 0)
-	if len(res1.Departed) != len(res2.Departed) {
-		t.Fatalf("departure counts differ: %d vs %d", len(res1.Departed), len(res2.Departed))
-	}
-	for i := range res1.Departed {
-		p1, p2 := res1.Departed[i], res2.Departed[i]
-		if p1.Class != p2.Class || p1.Seq != p2.Seq || p1.Depart != p2.Depart {
-			t.Fatalf("schedules diverge at %d: (%d,%d,%d) vs (%d,%d,%d)",
-				i, p1.Class, p1.Seq, p1.Depart, p2.Class, p2.Seq, p2.Depart)
-		}
-	}
-}
-
 // TestRandomizedSoak drives random hierarchies with random traffic while
 // checking structural invariants after every scheduler operation.
 func TestRandomizedSoak(t *testing.T) {
-	// The option matrix covers both eligible-list structures and all three
-	// virtual-time policies.
+	// The option matrix covers all three virtual-time policies.
 	optMatrix := []core.Options{
 		{DefaultQueueLimit: 12},
-		{DefaultQueueLimit: 12, Eligible: core.ElCalendar},
+		{DefaultQueueLimit: 12},
 		{DefaultQueueLimit: 12, VTPolicy: core.VTMin},
 		{DefaultQueueLimit: 12, VTPolicy: core.VTMax},
-		{DefaultQueueLimit: 12, Eligible: core.ElCalendar, VTPolicy: core.VTMin},
-		{DefaultQueueLimit: 12, Eligible: core.ElCalendar, CalendarWidth: 100_000, CalendarBuckets: 32},
+		{DefaultQueueLimit: 12, VTPolicy: core.VTMin},
+		{DefaultQueueLimit: 12},
 	}
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(900 + trial)))

@@ -24,7 +24,6 @@ package core
 import (
 	"unsafe"
 
-	"github.com/netsched/hfsc/internal/calendar"
 	"github.com/netsched/hfsc/internal/curve"
 	"github.com/netsched/hfsc/internal/pktq"
 	"github.com/netsched/hfsc/internal/rbtree"
@@ -75,15 +74,13 @@ type hot struct {
 	_            [6]byte
 
 	// Line 3: container state.
-	vl, vr, vp *hot                  // links in the parent's vt tree (see vtTree)
-	vaug       int64                 // min f over this record's vt subtree
-	fitnode    *rbtree.Node[*hot]    // position in the scheduler's fit index
-	elnode     *rbtree.Node[*hot]    // eligible list: augmented-tree node
-	elcal      *calendar.Entry[*hot] // eligible list: calendar entry (future e)
-	hpi        int32                 // eligible list: deadline-heap position + 1; 0 = out
-	vred       bool                  // vt-tree colour: red
-	inVT       bool                  // member of the parent's vt tree (active)
-	_          [2]byte
+	vl, vr, vp *hot               // links in the parent's vt tree (see vtTree)
+	vaug       int64              // min f over this record's vt subtree
+	fitnode    *rbtree.Node[*hot] // position in the scheduler's fit index
+	elnode     *rbtree.Node[*hot] // position in the eligible list
+	vred       bool               // vt-tree colour: red
+	inVT       bool               // member of the parent's vt tree (active)
+	_          [14]byte
 }
 
 // Compile-time assertion: hot must stay a multiple of the cache-line size.

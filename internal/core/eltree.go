@@ -1,207 +1,76 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
-	"github.com/netsched/hfsc/internal/calendar"
-	"github.com/netsched/hfsc/internal/curve"
 	"github.com/netsched/hfsc/internal/rbtree"
 )
 
-// eligibleList holds the backlogged leaf classes with real-time curves and
-// answers the real-time criterion's query: among classes whose eligible
-// time has passed, which has the smallest deadline?
+// elAugTree is the eligible list: the backlogged leaf classes with
+// real-time curves, answering the real-time criterion's query — among
+// classes whose eligible time has passed, which has the smallest deadline?
 //
-// The paper's Section V names two suitable structures and this package
-// implements both (they are compared by an ablation benchmark):
-//
-//   - an augmented balanced tree keyed by eligible time whose nodes carry
-//     the minimum deadline of their subtree (O(log n) per query), and
-//   - a calendar queue of future eligible times feeding a deadline heap of
-//     currently eligible classes (amortized O(log n), often faster).
-//
-// Both implementations resolve deadline ties by class id, so they select
-// bit-identically on every workload — that equivalence is what lets the
-// scheduler pick between them (ElAuto) on curve shape alone.
-type eligibleList interface {
-	// insert adds a class (not currently in the list).
-	insert(h *hot, now int64)
-	// remove takes the class out of the list.
-	remove(h *hot)
-	// update repositions the class after its e and/or d changed.
-	update(h *hot, now int64)
-	// minDeadline returns the eligible (e <= now) class with the smallest
-	// (deadline, id), or nil.
-	minDeadline(now int64) *hot
-	// minE returns the smallest eligible time in the list.
-	minE() (int64, bool)
-}
-
-// calendarMaxPkt is the packet size the admissibility rule assumes when
-// bounding how far one service can push an eligible time into the future.
-const calendarMaxPkt = 2048
-
-// calendarAdmissible reports whether a real-time curve keeps its eligible
-// times within the calendar's horizon (bucket width × bucket count). One
-// real-time service advances the eligible time by at most the curve offset
-// plus the time the slope-m2 tail needs to absorb a packet; curves whose
-// bound exceeds the horizon would park entries in far-future "days", which
-// stays correct (sweeps filter by day) but costs a revisit per calendar
-// rotation — so ElAuto falls back to the augmented tree for them.
-func calendarAdmissible(rsc curve.SC, width int64, buckets int) bool {
-	if rsc.IsZero() {
-		return true
-	}
-	if rsc.M2 == 0 {
-		return false
-	}
-	adv := rsc.D + int64(calendarMaxPkt*1_000_000_000/rsc.M2)
-	return adv <= width*int64(buckets)
-}
-
-// dLess is the deadline order shared by both eligible structures:
-// (deadline, id) lexicographic, so ties are deterministic and identical
-// across the heap and the augmented tree.
-func dLess(a, b *hot) bool {
-	if a.d != b.d {
-		return a.d < b.d
-	}
-	return a.id < b.id
-}
-
-// dheap is an indexed binary min-heap of eligible classes ordered by
-// (deadline, id). Positions are stored in the hot record itself (hpi), so
-// the heap holds only the slice — no per-item allocation, and the slice
-// stops allocating once it reaches its high-water mark.
-type dheap struct {
-	items []*hot
-}
-
-func (h *dheap) len() int { return len(h.items) }
-
-func (h *dheap) min() *hot {
-	if len(h.items) == 0 {
-		return nil
-	}
-	return h.items[0]
-}
-
-func (h *dheap) push(x *hot) {
-	h.items = append(h.items, x)
-	x.hpi = int32(len(h.items))
-	h.up(len(h.items) - 1)
-}
-
-func (h *dheap) remove(x *hot) {
-	i := int(x.hpi) - 1
-	n := len(h.items) - 1
-	if i < 0 || i > n || h.items[i] != x {
-		panic("core: dheap remove of class not in heap")
-	}
-	h.swap(i, n)
-	h.items[n] = nil
-	h.items = h.items[:n]
-	if i < n {
-		if !h.down(i) {
-			h.up(i)
-		}
-	}
-	x.hpi = 0
-}
-
-func (h *dheap) swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.items[i].hpi = int32(i + 1)
-	h.items[j].hpi = int32(j + 1)
-}
-
-func (h *dheap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !dLess(h.items[i], h.items[parent]) {
-			return
-		}
-		h.swap(i, parent)
-		i = parent
-	}
-}
-
-func (h *dheap) down(i int) bool {
-	moved := false
-	n := len(h.items)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return moved
-		}
-		small := l
-		if r := l + 1; r < n && dLess(h.items[r], h.items[l]) {
-			small = r
-		}
-		if !dLess(h.items[small], h.items[i]) {
-			return moved
-		}
-		h.swap(i, small)
-		i = small
-		moved = true
-	}
-}
-
-// elAugTree is the augmented red-black tree eligible list. Keys are
-// eligible times; the augmentation is the minimum (deadline, id) pair in
-// the subtree — Aug holds the deadline, Aug2 the id of the class achieving
-// it, so minDeadline resolves ties in one descent instead of re-walking
-// tied subtrees (with thousands of equal-rate classes the tie group can be
-// the whole tree).
+// It is the first of the two structures the paper's Section V names: an
+// augmented red-black tree keyed by (eligible time, id) whose nodes carry
+// the minimum (deadline, id) pair of their subtree — Aug holds the
+// deadline, Aug2 the id of the class achieving it — so minDeadline resolves
+// ties in one descent instead of re-walking tied subtrees (with thousands
+// of equal-rate classes the tie group can be the whole tree). Every query
+// and update is O(log n).
 type elAugTree struct {
 	tree *rbtree.Tree[*hot]
-	// refImpl disables the in-place update fast path (golden-trace tests).
-	refImpl bool
 }
 
-func newElAugTree(refImpl bool) *elAugTree {
-	return &elAugTree{refImpl: refImpl, tree: rbtree.New(elLess, func(n *rbtree.Node[*hot]) {
-		d, id := n.Item.d, int64(n.Item.id)
-		if l := n.Left(); l != nil && (l.Aug < d || (l.Aug == d && l.Aug2 < id)) {
-			d, id = l.Aug, l.Aug2
-		}
-		if r := n.Right(); r != nil && (r.Aug < d || (r.Aug == d && r.Aug2 < id)) {
-			d, id = r.Aug, r.Aug2
-		}
-		n.Aug, n.Aug2 = d, id
+func newElAugTree() *elAugTree {
+	return &elAugTree{tree: rbtree.New(elLess, func(n *rbtree.Node[*hot]) {
+		n.Aug, n.Aug2 = subtreeMinD(n)
 	})}
 }
 
-func (t *elAugTree) insert(h *hot, _ int64) { h.elnode = t.tree.Insert(h) }
+// subtreeMinD is the augmentation: the minimum (deadline, id) over n and
+// the (already augmented) subtrees of its children.
+func subtreeMinD(n *rbtree.Node[*hot]) (int64, int64) {
+	d, id := n.Item.d, int64(n.Item.id)
+	if l := n.Left(); l != nil && (l.Aug < d || (l.Aug == d && l.Aug2 < id)) {
+		d, id = l.Aug, l.Aug2
+	}
+	if r := n.Right(); r != nil && (r.Aug < d || (r.Aug == d && r.Aug2 < id)) {
+		d, id = r.Aug, r.Aug2
+	}
+	return d, id
+}
 
+// insert adds a class (not currently in the list).
+func (t *elAugTree) insert(h *hot) { h.elnode = t.tree.Insert(h) }
+
+// remove takes the class out of the list.
 func (t *elAugTree) remove(h *hot) {
 	t.tree.Delete(h.elnode)
 	h.elnode = nil
 }
 
-func (t *elAugTree) update(h *hot, _ int64) {
+// update repositions the class after its e and/or d changed.
+func (t *elAugTree) update(h *hot) {
 	// e is the tree key. If the new eligible time still sorts between the
 	// in-order neighbors the node can stay put, and only the min-deadline
 	// augmentation on its root path needs recomputing (d changed too).
 	n := h.elnode
-	if !t.refImpl {
-		prev := t.tree.Prev(n)
-		next := t.tree.Next(n)
-		if (prev == nil || elLess(prev.Item, h)) && (next == nil || elLess(h, next.Item)) {
-			t.tree.Update(n)
-			return
-		}
+	prev := t.tree.Prev(n)
+	next := t.tree.Next(n)
+	if (prev == nil || elLess(prev.Item, h)) && (next == nil || elLess(h, next.Item)) {
+		t.tree.Update(n)
+		return
 	}
 	// Reposition; Insert refreshes the augmentation along both paths.
 	t.tree.Delete(n)
 	h.elnode = t.tree.Insert(h)
 }
 
-// minDeadline finds the eligible class minimizing (deadline, id) — the
-// same order the calendar's deadline heap uses, so the two structures
-// select identically. One descent along the e <= now boundary collects the
-// best (Aug, Aug2) pair among qualifying left subtrees and boundary nodes;
-// if a subtree wins, a second descent chases the exact pair. O(log n)
+// minDeadline finds the eligible (e <= now) class minimizing (deadline,
+// id), or nil. One descent along the e <= now boundary collects the best
+// (Aug, Aug2) pair among qualifying left subtrees and boundary nodes; if a
+// subtree wins, a second descent chases the exact pair. O(log n)
 // regardless of deadline ties.
 func (t *elAugTree) minDeadline(now int64) *hot {
 	var (
@@ -251,6 +120,7 @@ func (t *elAugTree) minDeadline(now int64) *hot {
 	}
 }
 
+// minE returns the smallest eligible time in the list.
 func (t *elAugTree) minE() (int64, bool) {
 	n := t.tree.Min()
 	if n == nil {
@@ -259,89 +129,39 @@ func (t *elAugTree) minE() (int64, bool) {
 	return n.Item.e, true
 }
 
-// elCalendar is the calendar-queue + deadline-heap eligible list.
-type elCalendar struct {
-	cal *calendar.Queue[*hot] // classes with e in the future
-	hp  dheap                 // classes already eligible, ordered by (d, id)
-}
-
-func newElCalendar(width int64, buckets int) *elCalendar {
-	return &elCalendar{cal: calendar.New[*hot](width, buckets)}
-}
-
-func (c *elCalendar) insert(h *hot, now int64) {
-	if h.e <= now {
-		c.hp.push(h)
-	} else {
-		h.elcal = c.cal.Insert(h.e, h)
+// verify checks the tree against its search invariants: every member's
+// handle points at its own node, the in-order sequence is strictly
+// increasing by (e, id), and each node's (Aug, Aug2) is the minimum
+// (deadline, id) of its subtree, recomputed here bottom-up rather than
+// trusted. It returns the node count.
+func (t *elAugTree) verify() (int, error) {
+	count := 0
+	var prev *hot
+	var walk func(n *rbtree.Node[*hot]) error
+	walk = func(n *rbtree.Node[*hot]) error {
+		if n == nil {
+			return nil
+		}
+		if err := walk(n.Left()); err != nil {
+			return err
+		}
+		h := n.Item
+		count++
+		if h.elnode != n {
+			return fmt.Errorf("eligible tree: class %d handle does not point at its node", h.id)
+		}
+		if prev != nil && !elLess(prev, h) {
+			return fmt.Errorf("eligible tree: class %d (e=%d) sorts after class %d (e=%d)", prev.id, prev.e, h.id, h.e)
+		}
+		prev = h
+		if err := walk(n.Right()); err != nil {
+			return err
+		}
+		if d, id := subtreeMinD(n); n.Aug != d || n.Aug2 != id {
+			return fmt.Errorf("eligible tree: class %d augmentation (%d, %d), subtree min (%d, %d)", h.id, n.Aug, n.Aug2, d, id)
+		}
+		return nil
 	}
-}
-
-func (c *elCalendar) remove(h *hot) {
-	if h.hpi != 0 {
-		c.hp.remove(h)
-	} else if h.elcal != nil {
-		c.cal.Remove(h.elcal)
-		h.elcal = nil
-	}
-}
-
-func (c *elCalendar) update(h *hot, now int64) {
-	c.remove(h)
-	c.insert(h, now)
-}
-
-// sweep moves classes whose eligible time has arrived into the deadline
-// heap.
-func (c *elCalendar) sweep(now int64) {
-	c.cal.SweepUpTo(now, func(e *calendar.Entry[*hot]) {
-		h := e.Value
-		h.elcal = nil
-		c.hp.push(h)
-	})
-}
-
-func (c *elCalendar) minDeadline(now int64) *hot {
-	c.sweep(now)
-	return c.hp.min()
-}
-
-func (c *elCalendar) minE() (int64, bool) {
-	if c.hp.len() > 0 {
-		// Something is already eligible; its e has passed.
-		return c.hp.min().e, true
-	}
-	return c.cal.Min()
-}
-
-// drainInto moves every member into the augmented tree: the ElAuto
-// fallback path when an inadmissible real-time curve arrives. Selection
-// stays identical before and after (the structures are equivalent), so the
-// migration is invisible to the trace.
-func (c *elCalendar) drainInto(t *elAugTree) {
-	for _, h := range c.hp.items {
-		h.hpi = 0
-		t.insert(h, 0)
-	}
-	c.hp.items = c.hp.items[:0]
-	c.cal.Each(func(e *calendar.Entry[*hot]) {
-		h := e.Value
-		h.elcal = nil
-		t.insert(h, 0)
-	})
-}
-
-// maybeFallBack switches an ElAuto scheduler from the calendar to the
-// augmented tree when a newly configured real-time curve is hostile to the
-// calendar horizon. The switch happens at most once and migrates any
-// entries already queued.
-func (s *Scheduler) maybeFallBack(rsc curve.SC) {
-	if !s.calendarOK || calendarAdmissible(rsc, s.calendarWidth(), s.calendarBuckets()) {
-		return
-	}
-	s.calendarOK = false
-	old := s.el.(*elCalendar)
-	tree := newElAugTree(s.opts.refImpl)
-	old.drainInto(tree)
-	s.el = tree
+	err := walk(t.tree.Root())
+	return count, err
 }

@@ -59,7 +59,7 @@ type flatTraceFile struct {
 func runFlatTrace(t *testing.T, s *Scheduler, seed int64, uscOn bool) ([]flatTraceEvent, int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	specs := randHierarchy(rng, uscOn)
+	specs := randHierarchy(rng, uscOn, false)
 	leaves := buildGolden(t, s, specs)
 
 	var events []flatTraceEvent
@@ -89,64 +89,61 @@ func runFlatTrace(t *testing.T, s *Scheduler, seed int64, uscOn bool) ([]flatTra
 	return events, s.Backlog()
 }
 
-func flatGoldenPath(el EligibleStructure, uscOn bool) string {
-	name := "rbtree"
-	if el == ElCalendar {
-		name = "calendar"
-	}
-	return filepath.Join("testdata", fmt.Sprintf("flatstate_%s_usc%v.json", name, uscOn))
+// flatGoldenPath names a frozen trace. The "rbtree" tag dates from when a
+// second eligible-list structure had traces of its own; the files are
+// kept byte-for-byte.
+func flatGoldenPath(uscOn bool) string {
+	return filepath.Join("testdata", fmt.Sprintf("flatstate_rbtree_usc%v.json", uscOn))
 }
 
 func TestFlatStateGoldenTrace(t *testing.T) {
-	for _, el := range []EligibleStructure{ElAugmentedTree, ElCalendar} {
-		for _, uscOn := range []bool{false, true} {
-			el, uscOn := el, uscOn
-			t.Run(filepath.Base(flatGoldenPath(el, uscOn)), func(t *testing.T) {
-				const seed = 20260808
-				s := New(Options{Eligible: el})
-				events, backlog := runFlatTrace(t, s, seed, uscOn)
+	for _, uscOn := range []bool{false, true} {
+		uscOn := uscOn
+		t.Run(filepath.Base(flatGoldenPath(uscOn)), func(t *testing.T) {
+			const seed = 20260808
+			s := New(Options{})
+			events, backlog := runFlatTrace(t, s, seed, uscOn)
 
-				path := flatGoldenPath(el, uscOn)
-				if *updateFlatGolden {
-					raw, err := json.MarshalIndent(flatTraceFile{
-						Seed: seed, UscOn: uscOn, Backlog: backlog, Events: events,
-					}, "", " ")
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-						t.Fatal(err)
-					}
-					t.Logf("wrote %s (%d events)", path, len(events))
-					return
-				}
-
-				raw, err := os.ReadFile(path)
+			path := flatGoldenPath(uscOn)
+			if *updateFlatGolden {
+				raw, err := json.MarshalIndent(flatTraceFile{
+					Seed: seed, UscOn: uscOn, Backlog: backlog, Events: events,
+				}, "", " ")
 				if err != nil {
-					t.Fatalf("missing frozen trace (run with -update-flat-golden to create): %v", err)
-				}
-				var want flatTraceFile
-				if err := json.Unmarshal(raw, &want); err != nil {
 					t.Fatal(err)
 				}
-				if want.Seed != seed || want.UscOn != uscOn {
-					t.Fatalf("trace metadata mismatch: seed %d usc %v", want.Seed, want.UscOn)
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
 				}
-				if len(events) != len(want.Events) {
-					t.Fatalf("trace length %d, frozen %d", len(events), len(want.Events))
+				if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+					t.Fatal(err)
 				}
-				for i, ev := range events {
-					if ev != want.Events[i] {
-						t.Fatalf("event %d diverged: got %+v, frozen %+v", i, ev, want.Events[i])
-					}
+				t.Logf("wrote %s (%d events)", path, len(events))
+				return
+			}
+
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing frozen trace (run with -update-flat-golden to create): %v", err)
+			}
+			var want flatTraceFile
+			if err := json.Unmarshal(raw, &want); err != nil {
+				t.Fatal(err)
+			}
+			if want.Seed != seed || want.UscOn != uscOn {
+				t.Fatalf("trace metadata mismatch: seed %d usc %v", want.Seed, want.UscOn)
+			}
+			if len(events) != len(want.Events) {
+				t.Fatalf("trace length %d, frozen %d", len(events), len(want.Events))
+			}
+			for i, ev := range events {
+				if ev != want.Events[i] {
+					t.Fatalf("event %d diverged: got %+v, frozen %+v", i, ev, want.Events[i])
 				}
-				if backlog != want.Backlog {
-					t.Fatalf("final backlog %d, frozen %d", backlog, want.Backlog)
-				}
-			})
-		}
+			}
+			if backlog != want.Backlog {
+				t.Fatalf("final backlog %d, frozen %d", backlog, want.Backlog)
+			}
+		})
 	}
 }

@@ -24,8 +24,12 @@ type goldenSpec struct {
 
 // randHierarchy generates a random two-level hierarchy. With uscOn, about
 // half the classes (interior and leaf) carry upper-limit curves tight
-// enough to defer them regularly.
-func randHierarchy(rng *rand.Rand, uscOn bool) []goldenSpec {
+// enough to defer them regularly. With slowRT, about half the real-time
+// curves are replaced by ones that park eligible times far beyond the
+// clock (see slowRTCurve), and a third of those leaves are real-time only.
+// With slowRT off no extra values are drawn, which keeps the frozen
+// flat-state traces valid.
+func randHierarchy(rng *rand.Rand, uscOn, slowRT bool) []goldenSpec {
 	var specs []goldenSpec
 	nTop := 2 + rng.Intn(4)
 	for i := 0; i < nTop; i++ {
@@ -38,6 +42,9 @@ func randHierarchy(rng *rand.Rand, uscOn bool) []goldenSpec {
 		if !interior {
 			if rng.Intn(2) == 0 {
 				top.rsc = curve.SC{M1: 2 * rate, D: int64(1+rng.Intn(10)) * 1_000_000, M2: rate}
+				if slowRT && rng.Intn(2) == 0 {
+					top.rsc = slowRTCurve(rng, rate)
+				}
 			}
 			specs = append(specs, top)
 			continue
@@ -50,6 +57,12 @@ func randHierarchy(rng *rand.Rand, uscOn bool) []goldenSpec {
 			kid := goldenSpec{parent: topIdx, fsc: curve.Linear(1 + kr)}
 			if rng.Intn(2) == 0 {
 				kid.rsc = curve.SC{M1: 2 * kr, D: int64(1+rng.Intn(10)) * 1_000_000, M2: kr}
+				if slowRT && rng.Intn(2) == 0 {
+					kid.rsc = slowRTCurve(rng, kr)
+					if rng.Intn(3) == 0 {
+						kid.fsc = curve.SC{}
+					}
+				}
 			}
 			if uscOn && rng.Intn(2) == 0 {
 				kid.usc = curve.Linear(1 + kr/uint64(1+rng.Intn(4)))
@@ -58,6 +71,18 @@ func randHierarchy(rng *rand.Rand, uscOn bool) []goldenSpec {
 		}
 	}
 	return specs
+}
+
+// slowRTCurve draws a real-time curve whose eligible times run far ahead
+// of the clock: either M2 == 0, so no service is guaranteed past the first
+// segment and eligible times saturate, or an M2 below 8 kB/s, where one
+// 2 kB packet moves the eligible time more than 256 ms.
+func slowRTCurve(rng *rand.Rand, rate uint64) curve.SC {
+	sc := curve.SC{M1: 2 * rate, D: int64(1+rng.Intn(10)) * 1_000_000}
+	if rng.Intn(2) == 0 {
+		sc.M2 = uint64(1 + rng.Intn(7999))
+	}
+	return sc
 }
 
 // build instantiates the spec list on a scheduler and returns the leaf
@@ -90,19 +115,24 @@ func buildGolden(t *testing.T, s *Scheduler, specs []goldenSpec) []int {
 }
 
 func TestGoldenTraceRandom(t *testing.T) {
-	for _, uscOn := range []bool{false, true} {
+	for _, in := range []struct{ usc, slowRT bool }{{false, false}, {true, false}, {true, true}} {
+		name := fmt.Sprintf("usc=%v", in.usc)
+		if in.slowRT {
+			name += "/slowrt"
+		}
 		for seed := int64(1); seed <= 6; seed++ {
-			t.Run(fmt.Sprintf("usc=%v/seed=%d", uscOn, seed), func(t *testing.T) {
-				goldenLockstep(t, seed, uscOn, 4000)
+			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
+				goldenLockstep(t, seed, in.usc, in.slowRT, 4000)
 			})
 		}
 	}
 }
 
 // FuzzGoldenLockstep is the differential fuzz target over the golden
-// lockstep: the seed drives a random hierarchy with upper limits on and
-// the traffic against it, and the fast, reference and batched schedulers
-// must agree packet for packet. The seed corpus runs under plain go test;
+// lockstep: the seed drives a random hierarchy with upper limits on (and,
+// for odd seeds, far-future eligible times) and the traffic against it,
+// and the fast, reference and batched schedulers must agree packet for
+// packet. The seed corpus runs under plain go test;
 // go test -run='^$' -fuzz=FuzzGoldenLockstep ./internal/core explores
 // further.
 func FuzzGoldenLockstep(f *testing.F) {
@@ -110,21 +140,22 @@ func FuzzGoldenLockstep(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		goldenLockstep(t, seed, true, 1000)
+		goldenLockstep(t, seed, true, seed%2 != 0, 1000)
 	})
 }
 
 // goldenLockstep builds the hierarchy randHierarchy draws from seed on a
-// fast, a reference (refImpl) and a batched scheduler, then drives all
+// fast, a reference (refImpl: linear scans instead of the eligible tree's
+// and the vt trees' descents) and a batched scheduler, then drives all
 // three with the same seed-drawn traffic for steps steps: each step
 // enqueues a small burst to random leaves and dequeues a burst — fast and
 // reference packet by packet, batched through DequeueN — failing on the
 // first difference in selection, criterion, deadline or retry time, or on
 // a broken invariant (checked every 200 steps and at the end).
-func goldenLockstep(t *testing.T, seed int64, uscOn bool, steps int) {
+func goldenLockstep(t *testing.T, seed int64, uscOn, slowRT bool, steps int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	specs := randHierarchy(rng, uscOn)
+	specs := randHierarchy(rng, uscOn, slowRT)
 
 	fast := New(Options{})
 	ref := New(Options{refImpl: true})
@@ -210,7 +241,7 @@ func goldenLockstep(t *testing.T, seed int64, uscOn bool, steps int) {
 // the passivation cascade and upper-limit idling on the way down.
 func TestGoldenDrain(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	specs := randHierarchy(rng, true)
+	specs := randHierarchy(rng, true, false)
 	fast := New(Options{})
 	ref := New(Options{refImpl: true})
 	leavesF := buildGolden(t, fast, specs)

@@ -27,39 +27,18 @@ const (
 	VTMax
 )
 
-// EligibleStructure selects the data structure backing the eligible list.
-type EligibleStructure uint8
-
-const (
-	// ElAuto (the default) starts on the calendar queue and falls back to
-	// the augmented tree if a class arrives whose real-time curve is
-	// hostile to the calendar's horizon (see calendarAdmissible). The two
-	// structures select bit-identically, so the switch is invisible.
-	ElAuto EligibleStructure = iota
-	// ElAugmentedTree forces the augmented red-black tree.
-	ElAugmentedTree
-	// ElCalendar forces the calendar queue plus deadline heap.
-	ElCalendar
-)
-
 // Options configures a Scheduler. The zero value is a sensible default.
 type Options struct {
 	// VTPolicy is the system-virtual-time policy (default VTMean).
 	VTPolicy VTPolicy
-	// Eligible selects the eligible-list structure (default ElAuto).
-	Eligible EligibleStructure
-	// CalendarWidth is the bucket width (ns) for the calendar eligible
-	// list; 0 means 1 ms.
-	CalendarWidth int64
-	// CalendarBuckets is the bucket count for the calendar; 0 means 256.
-	CalendarBuckets int
 	// DefaultQueueLimit bounds each leaf queue in packets; 0 = unbounded.
 	DefaultQueueLimit int
 	// Tracer, if set, observes scheduler events synchronously.
 	Tracer Tracer
 
-	// refImpl switches firstFit, NextReady and the tree repositioning to
-	// straightforward reference implementations (linear scans, full
+	// refImpl switches the real-time selection, firstFit, NextReady and
+	// the vt-tree repositioning to straightforward reference
+	// implementations (linear scans over live classes, full
 	// delete+reinsert). Selection must be bit-identical either way; the
 	// golden-trace tests run both in lockstep. Test-only.
 	refImpl bool
@@ -83,7 +62,7 @@ type Scheduler struct {
 	opts    Options
 	root    *Class
 	classes []*Class
-	el      eligibleList
+	el      *elAugTree
 	backlog int
 	// fittree indexes every active class with a real fit time (f != noFit)
 	// by f, so NextReady answers "earliest fit time beyond now" with one
@@ -98,42 +77,16 @@ type Scheduler struct {
 	// churn reuses slots instead of growing the arena without bound. Class
 	// ids are never reused — only the backing records.
 	freeHots []*hot
-	// calendarOK is false once a class's real-time curve was found hostile
-	// to the calendar horizon (ElAuto only; see maybeFallBack).
-	calendarOK bool
 }
 
 // New creates a scheduler with an implicit root class.
 func New(opts Options) *Scheduler {
-	s := &Scheduler{opts: opts}
-	switch opts.Eligible {
-	case ElAugmentedTree:
-		s.el = newElAugTree(opts.refImpl)
-	case ElCalendar:
-		s.el = newElCalendar(s.calendarWidth(), s.calendarBuckets())
-	default: // ElAuto: calendar until an inadmissible curve shows up
-		s.el = newElCalendar(s.calendarWidth(), s.calendarBuckets())
-		s.calendarOK = true
-	}
+	s := &Scheduler{opts: opts, el: newElAugTree()}
 	s.fittree = rbtree.New[*hot](fitLess, nil)
 	s.root = &Class{id: 0, name: "root"}
 	s.root.hot = s.allocHot(s.root)
 	s.classes = []*Class{s.root}
 	return s
-}
-
-func (s *Scheduler) calendarWidth() int64 {
-	if s.opts.CalendarWidth > 0 {
-		return s.opts.CalendarWidth
-	}
-	return 1_000_000 // 1 ms
-}
-
-func (s *Scheduler) calendarBuckets() int {
-	if s.opts.CalendarBuckets > 0 {
-		return s.opts.CalendarBuckets
-	}
-	return 256
 }
 
 // allocHot hands out the next arena slot, initialized for cl.
@@ -242,7 +195,6 @@ func (s *Scheduler) AddClass(parent *Class, name string, rsc, fsc, usc curve.SC)
 	parent.child = append(parent.child, cl)
 	parent.hot.leaf = false
 	s.classes = append(s.classes, cl)
-	s.maybeFallBack(rsc)
 	return cl, nil
 }
 
@@ -308,7 +260,7 @@ func (s *Scheduler) DequeueN(now int64, max int, out []*pktq.Packet) []*pktq.Pac
 // backlog.
 func (s *Scheduler) dequeueOne(now int64) *pktq.Packet {
 	realtime := false
-	h := s.el.minDeadline(now)
+	h := s.minDeadline(now)
 	if h != nil {
 		realtime = true
 	} else {
@@ -377,7 +329,7 @@ func (s *Scheduler) NextReady(now int64) (int64, bool) {
 		return 0, false
 	}
 	next := int64(math.MaxInt64)
-	if e, ok := s.el.minE(); ok && e > now && e < next {
+	if e, ok := s.minE(); ok && e > now && e < next {
 		next = e
 	}
 	if f, ok := s.minFitAfter(now); ok && f < next {
@@ -387,6 +339,59 @@ func (s *Scheduler) NextReady(now int64) (int64, bool) {
 		return 0, false
 	}
 	return next, true
+}
+
+// minDeadline implements the real-time criterion: the eligible (e <= now)
+// class with the smallest (deadline, id), or nil — an O(log n) descent of
+// the eligible tree.
+func (s *Scheduler) minDeadline(now int64) *hot {
+	if s.opts.refImpl {
+		return s.minDeadlineRef(now)
+	}
+	return s.el.minDeadline(now)
+}
+
+// minE returns the smallest eligible time among the backlogged real-time
+// leaves.
+func (s *Scheduler) minE() (int64, bool) {
+	if s.opts.refImpl {
+		return s.minERef()
+	}
+	return s.el.minE()
+}
+
+// eachRTBacklogged calls fn for every live backlogged leaf with a
+// real-time curve: the eligible list's membership, derived from the
+// classes themselves rather than from the tree.
+func (s *Scheduler) eachRTBacklogged(fn func(h *hot)) {
+	for _, c := range s.classes {
+		if c != nil && c.hasRSC && c.IsLeaf() && c.queue.Len() > 0 {
+			fn(c.hot)
+		}
+	}
+}
+
+// minDeadlineRef is the linear-scan reference for minDeadline, independent
+// of the eligible tree and its augmentation.
+func (s *Scheduler) minDeadlineRef(now int64) *hot {
+	var best *hot
+	s.eachRTBacklogged(func(h *hot) {
+		if h.e <= now && (best == nil || h.d < best.d || (h.d == best.d && h.id < best.id)) {
+			best = h
+		}
+	})
+	return best
+}
+
+// minERef is the linear-scan reference for minE.
+func (s *Scheduler) minERef() (int64, bool) {
+	best, found := int64(0), false
+	s.eachRTBacklogged(func(h *hot) {
+		if !found || h.e < best {
+			best, found = h.e, true
+		}
+	})
+	return best, found
 }
 
 // minFitAfter returns the earliest fit time strictly beyond now among all
@@ -440,7 +445,7 @@ func (s *Scheduler) initED(cl *Class, nextLen, now int64) {
 	}
 	h.e = cl.eligible.Y2X(h.cumul)
 	h.d = cl.deadline.Y2X(h.cumul + nextLen)
-	s.el.insert(h, now)
+	s.el.insert(h)
 }
 
 // updateED recomputes the eligible time and deadline after real-time
@@ -449,7 +454,7 @@ func (s *Scheduler) updateED(cl *Class, nextLen, now int64) {
 	h := cl.hot
 	h.e = cl.eligible.Y2X(h.cumul)
 	h.d = cl.deadline.Y2X(h.cumul + nextLen)
-	s.el.update(h, now)
+	s.el.update(h)
 }
 
 // updateD recomputes only the deadline after link-sharing service: cumul
@@ -459,7 +464,7 @@ func (s *Scheduler) updateED(cl *Class, nextLen, now int64) {
 func (s *Scheduler) updateD(cl *Class, nextLen, now int64) {
 	h := cl.hot
 	h.d = cl.deadline.Y2X(h.cumul + nextLen)
-	s.el.update(h, now)
+	s.el.update(h)
 }
 
 // initVF runs the activation cascade up the hierarchy (the paper's Fig. 6
