@@ -138,7 +138,7 @@ func BenchmarkOverheadFlat(b *testing.B) {
 func buildFlatTraced(b testing.TB, n int) (*core.Scheduler, []int) {
 	b.Helper()
 	s := core.New(core.Options{
-		Tracer: metrics.NewAggregator(metrics.Options{}),
+		Tracer: metrics.NewAggregator(),
 	})
 	rate := uint64(1_250_000_000) / uint64(n)
 	ids := make([]int, n)
@@ -574,7 +574,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		}
 		// Never started, so nothing drains the rings: size them to hold
 		// every Submit the warmup plus the measured runs will issue.
-		q.IntakeShards, q.IntakeDepth = 1, 8192
+		q.IntakeDepth = 8192
 		pkts := make([]*hfsc.Packet, 64)
 		for i := range pkts {
 			pkts[i] = &hfsc.Packet{Len: 100, Class: cl.ID(), Seq: uint64(i)}

@@ -373,11 +373,11 @@ func writeJSON(path string, results []Result) error {
 }
 
 // benchAgg builds a metrics aggregator for the traced columns.
-func benchAgg() *metrics.Aggregator { return metrics.NewAggregator(metrics.Options{}) }
+func benchAgg() *metrics.Aggregator { return metrics.NewAggregator() }
 
 // benchAud builds a guarantee auditor for the "+audit" column, at the
 // same 10 Gb/s link rate buildFlat splits among its leaves.
-func benchAud() *audit.Auditor { return audit.New(audit.Options{LinkRate: 1_250_000_000}) }
+func benchAud() *audit.Auditor { return audit.New(1_250_000_000) }
 
 // buildFlat creates n leaf classes under the root, each with concave rt
 // and linear ls curves. Sinks attach the observability pipeline under test

@@ -96,7 +96,7 @@ func main() {
 			// The same online auditor a production scheduler runs
 			// (hfsc.Config.Audit), fed offline — so its verdicts can be
 			// cross-checked against the replay's packet-level statistics.
-			aud = audit.New(audit.Options{LinkRate: spec.LinkRate})
+			aud = audit.New(spec.LinkRate)
 			sinks = append(sinks, aud)
 		}
 		if len(sinks) > 0 {

@@ -25,7 +25,7 @@
 //	p := s.Dequeue(now)
 //
 // Offer is the submit surface. Multi-producer drivers submit through
-// PacedQueue.Submit / SubmitCtx, which report the same DropReason values.
+// PacedQueue.Submit / SubmitN, which report the same DropReason values.
 //
 // # Dynamic classes
 //
@@ -101,17 +101,6 @@ const (
 // D nanoseconds of a backlogged period, slope M2 afterwards.
 type SC = curve.SC
 
-// VTPolicy selects the system-virtual-time policy (see core.VTPolicy); the
-// default VTMean is the paper's (vmin+vmax)/2 choice.
-type VTPolicy = core.VTPolicy
-
-// Virtual-time policies, re-exported for configuration.
-const (
-	VTMean = core.VTMean
-	VTMin  = core.VTMin
-	VTMax  = core.VTMax
-)
-
 // Linear returns the one-piece curve with the given rate.
 func Linear(rate uint64) SC { return curve.Linear(rate) }
 
@@ -149,17 +138,12 @@ type Config struct {
 	LinkRate uint64
 	// DefaultQueueLimit bounds each leaf queue in packets (0 = unbounded).
 	DefaultQueueLimit int
-	// VTPolicy selects the system virtual time policy (default VTMean).
-	VTPolicy VTPolicy
 	// Metrics enables the always-on observability pipeline: per-class
 	// counters, queue gauges, EWMA service rates and deadline-slack /
 	// queueing-delay histograms, exposed via Snapshot, Class.Metrics and
 	// WriteMetrics. The disabled path costs nothing beyond a nil check on
 	// the scheduling fast path.
 	Metrics bool
-	// MetricsWindow is the EWMA time constant for the service-rate
-	// estimators (default one second). Ignored unless Metrics is set.
-	MetricsWindow time.Duration
 	// Flight enables the always-on flight recorder: a fixed-size ring
 	// capturing every scheduler event (enqueue, drop, dequeue with slack,
 	// activation, deferral, transmit) with timestamps and packet identity,
@@ -182,17 +166,13 @@ type Config struct {
 	// and allocation-free in steady state — built to stay on in
 	// production.
 	Audit bool
-	// AuditTolerance is the lateness forgiven before an audit check counts
-	// as a violation (default 1ms — the fluid model is continuous, real
-	// links deliver whole packets on coarse clocks). Ignored unless Audit
-	// is set.
-	AuditTolerance time.Duration
 	// Spans samples 1-in-N submitted packets for a full lifecycle span:
-	// submit → intake drain → dequeue → transmit, decomposed into intake
-	// wait, queueing delay and pacing delay histograms on the metrics
-	// snapshot. 0 disables sampling; it also requires Metrics (the span
-	// histograms live on the aggregator) and a PacedQueue driver (the
-	// stamping happens at Submit/Transmit).
+	// submit → intake drain → dequeue and transmit, decomposed into intake
+	// wait and queueing delay histograms on the metrics snapshot (a packet
+	// is transmitted on the pacing pass that dequeues it, so dequeue and
+	// transmit share one clock). 0 disables sampling; it also requires
+	// Metrics (the span histograms live on the aggregator) and a
+	// PacedQueue driver (the stamping happens at Submit/Transmit).
 	Spans int
 	// AutoClass, when set, is the catch-all class template: the first
 	// submit (or EnsureClass) naming an unknown class creates a leaf from
@@ -299,13 +279,10 @@ func New(cfg Config) *Scheduler {
 		byName:  map[string]*Class{},
 		wrapped: map[*core.Class]*Class{},
 	}
-	opts := core.Options{
-		VTPolicy:          cfg.VTPolicy,
-		DefaultQueueLimit: cfg.DefaultQueueLimit,
-	}
+	opts := core.Options{DefaultQueueLimit: cfg.DefaultQueueLimit}
 	var sinks []core.Sink
 	if cfg.Metrics {
-		s.agg = metrics.NewAggregator(metrics.Options{Window: cfg.MetricsWindow})
+		s.agg = metrics.NewAggregator()
 		sinks = append(sinks, s.agg)
 	}
 	if cfg.Flight {
@@ -313,7 +290,7 @@ func New(cfg Config) *Scheduler {
 		sinks = append(sinks, s.rec)
 	}
 	if cfg.Audit {
-		s.aud = audit.New(audit.Options{LinkRate: cfg.LinkRate, Tolerance: cfg.AuditTolerance})
+		s.aud = audit.New(cfg.LinkRate)
 		sinks = append(sinks, s.aud)
 	}
 	if len(sinks) > 0 {

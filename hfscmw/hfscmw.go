@@ -137,11 +137,6 @@ type Config struct {
 	// means DefaultMaxPending; negative disables the bound.
 	MaxPending int
 
-	// Block makes a full intake ring wait with backoff (until ctx is
-	// done) instead of shedding. The per-tenant MaxPending bound still
-	// sheds.
-	Block bool
-
 	// RetryAfter is the hint sent with shed responses (HTTP Retry-After).
 	// Zero means one second.
 	RetryAfter time.Duration
@@ -608,21 +603,12 @@ func (l *Limiter) admitOnce(ctx context.Context, t *tenant, est int64) (tk *Tick
 	p.Class = t.class
 	p.Handle = g
 
-	var r hfsc.DropReason
-	if l.cfg.Block {
-		r = l.q.SubmitCtx(ctx, p)
-	} else {
-		r = l.q.Submit(p)
-	}
-	if r != hfsc.DropNone {
+	if r := l.q.Submit(p); r != hfsc.DropNone {
 		t.pending.Add(-1)
 		p.Release()
 		switch r {
 		case hfsc.DropStopped:
 			return nil, false, ErrClosed
-		case hfsc.DropCanceled:
-			t.canceled.Add(1)
-			return nil, false, ctx.Err()
 		default: // DropIntakeFull
 			t.shed.Add(1)
 			return nil, false, fmt.Errorf("%w (intake full)", ErrOverloaded)

@@ -117,41 +117,19 @@ func (v Verdict) String() string {
 	}
 }
 
-// Defaults for Options.
-const (
-	// DefaultTolerance forgives packetization and clock-granularity
-	// lateness: the fluid model delivers continuously while the link
-	// delivers in whole packets at discrete pass clocks.
-	DefaultTolerance = time.Millisecond
-	// DefaultMarginWindow is the sliding window over which the minimum
-	// conformance margin is reported.
-	DefaultMarginWindow = 8 * time.Second
-)
+// tolerance is the lateness (ns) forgiven before a deadline check counts
+// as a violation: the fluid model delivers continuously while the link
+// delivers in whole packets at discrete pass clocks.
+const tolerance = int64(time.Millisecond)
 
 // burnSeconds is the burn-rate ring length: 5 minutes of one-second
 // buckets, so the 1 s / 30 s / 5 m windows all read from one ring.
 const burnSeconds = 300
 
-// marginSlots sizes the sliding-minimum ring for the conformance margin;
-// one-second sub-windows, pruned against Options.MarginWindow at read
-// time, so the window can be any duration up to marginSlots seconds.
-const marginSlots = 16
-
-// Options configures an Auditor.
-type Options struct {
-	// LinkRate (bytes/s) converts the largest observed work unit into the
-	// one-packet transmission slack every fluid deadline is granted (the
-	// Theorem 1 "+ lmax/R" term). Zero grants no slack beyond Tolerance.
-	LinkRate uint64
-	// Tolerance is the lateness (ns) forgiven before a deadline check
-	// counts as a violation (default DefaultTolerance). The fluid model
-	// is continuous; real links deliver whole packets on coarse clocks.
-	Tolerance time.Duration
-	// MarginWindow is the sliding window for the reported minimum
-	// conformance margin (default DefaultMarginWindow, max marginSlots
-	// seconds).
-	MarginWindow time.Duration
-}
+// marginSlots is the sliding window (seconds) over which the minimum
+// conformance margin is reported: a ring of one-second sub-windows,
+// pruned against the window at read time.
+const marginSlots = 8
 
 // burnSlot is one second of violation accounting. key is the epoch
 // second plus one, so the zero value means "never used" even for traces
@@ -280,38 +258,26 @@ type classAudit struct {
 // are safe for concurrent use; Apply and Trace are allocation-free in
 // steady state.
 type Auditor struct {
-	mu      sync.Mutex
-	opts    Options
-	tolNs   int64
-	winNs   int64
-	classes []*classAudit // indexed by class id; nil = never seen or forgotten
+	mu       sync.Mutex
+	linkRate uint64
+	classes  []*classAudit // indexed by class id; nil = never seen or forgotten
 
 	lastEvent    int64
 	ulimitDefers uint64
 	lmax         int64 // largest work unit seen anywhere (Theorem 1 slack)
-	slackNs      int64 // lmax's transmission time at LinkRate
+	slackNs      int64 // lmax's transmission time at linkRate
 
 	// burstByID holds SetBurst values for classes that have not produced
 	// events yet; drained into classAudit.burstAllow on first sight.
 	burstByID map[int]int64
 }
 
-// New creates an auditor.
-func New(opts Options) *Auditor {
-	if opts.Tolerance <= 0 {
-		opts.Tolerance = DefaultTolerance
-	}
-	if opts.MarginWindow <= 0 {
-		opts.MarginWindow = DefaultMarginWindow
-	}
-	if opts.MarginWindow > marginSlots*time.Second {
-		opts.MarginWindow = marginSlots * time.Second
-	}
-	return &Auditor{
-		opts:  opts,
-		tolNs: opts.Tolerance.Nanoseconds(),
-		winNs: opts.MarginWindow.Nanoseconds(),
-	}
+// New creates an auditor for a link of linkRate bytes/s. The rate
+// converts the largest observed work unit into the one-packet
+// transmission slack every fluid deadline is granted (the Theorem 1
+// "+ lmax/R" term); zero grants no slack beyond the 1 ms tolerance.
+func New(linkRate uint64) *Auditor {
+	return &Auditor{linkRate: linkRate}
 }
 
 // SetBurst pins the arrival-conformance burst allowance for a class (in
@@ -441,8 +407,8 @@ func (st *classAudit) overEnvelope(dt int64) bool {
 }
 
 // allow is the total lateness forgiven on a deadline: the fluid model's
-// one-packet transmission slack plus the configured tolerance.
-func (a *Auditor) allow() int64 { return a.slackNs + a.tolNs }
+// one-packet transmission slack plus the tolerance.
+func (a *Auditor) allow() int64 { return a.slackNs + tolerance }
 
 // observeWork tracks the largest work unit (the empirical lmax) and the
 // transmission slack it implies at the configured link rate.
@@ -455,8 +421,8 @@ func (a *Auditor) observeWork(st *classAudit, w int64) {
 	}
 	if w > a.lmax {
 		a.lmax = w
-		if a.opts.LinkRate > 0 {
-			a.slackNs = w * int64(time.Second) / int64(a.opts.LinkRate)
+		if a.linkRate > 0 {
+			a.slackNs = w * int64(time.Second) / int64(a.linkRate)
 		}
 	}
 }
@@ -576,7 +542,7 @@ func (a *Auditor) dequeue(st *classAudit, work, arrival, now int64) {
 				// deadline is impossible; with non-conforming arrivals it
 				// is burn the sender caused.
 				if !viol && st.nonConforming && delay > 0 {
-					if bound := st.delayBound(a); bound < curve.Inf-a.tolNs && delay > bound+a.tolNs {
+					if bound := st.delayBound(a); bound < curve.Inf-tolerance && delay > bound+tolerance {
 						viol = true
 					}
 				}

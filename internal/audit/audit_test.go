@@ -26,7 +26,7 @@ const msec = int64(time.Millisecond)
 // TestConformingRunNoViolations drives a leaf exactly at its curve rate
 // through a real scheduler: every check must pass and the verdict stay OK.
 func TestConformingRunNoViolations(t *testing.T) {
-	a := New(Options{LinkRate: 1_000_000})
+	a := New(1_000_000)
 	rt := curve.Linear(1_000_000) // 1 MB/s => 1500 B every 1.5 ms
 	s, cl := harness(t, rt, a)
 
@@ -67,7 +67,7 @@ func TestConformingRunNoViolations(t *testing.T) {
 // serves it far slower than the curve: violations must appear and be
 // attributed to genuine scheduler lateness.
 func TestLateServiceAttributedToScheduler(t *testing.T) {
-	a := New(Options{LinkRate: 1_000_000})
+	a := New(1_000_000)
 	rt := curve.Linear(1_000_000)
 	s, cl := harness(t, rt, a)
 
@@ -102,7 +102,7 @@ func TestLateServiceAttributedToScheduler(t *testing.T) {
 // TestNonConformingArrivalAttribution bursts far beyond the envelope: the
 // resulting lateness must be blamed on the sender, not the scheduler.
 func TestNonConformingArrivalAttribution(t *testing.T) {
-	a := New(Options{LinkRate: 1_000_000})
+	a := New(1_000_000)
 	rt := curve.Linear(1_000_000)
 	s, cl := harness(t, rt, a)
 	a.SetBurst(cl.ID(), 1500) // one packet of instantaneous burst is conforming
@@ -137,7 +137,7 @@ func TestNonConformingArrivalAttribution(t *testing.T) {
 // TestDropAttribution fills a queue-limited leaf: refusals must audit as
 // drop-cause violations.
 func TestDropAttribution(t *testing.T) {
-	a := New(Options{})
+	a := New(0)
 	s := core.New(core.Options{Tracer: a, DefaultQueueLimit: 2})
 	cl, err := s.AddClass(nil, "leaf", curve.Linear(1_000_000), curve.Linear(1000), curve.SC{})
 	if err != nil {
@@ -158,7 +158,7 @@ func TestDropAttribution(t *testing.T) {
 // TestCorrectionAttribution runs corrections during the busy period and
 // then misses: the violation must be blamed on cost mis-estimation.
 func TestCorrectionAttribution(t *testing.T) {
-	a := New(Options{LinkRate: 1_000_000})
+	a := New(1_000_000)
 	rt := curve.Linear(1_000_000)
 	s, cl := harness(t, rt, a)
 
@@ -190,7 +190,7 @@ func TestCorrectionAttribution(t *testing.T) {
 // be flagged by the periodic probe, and the eventual dequeue must not
 // double-count the same packet.
 func TestTickCatchesStalledBacklog(t *testing.T) {
-	a := New(Options{LinkRate: 1_000_000})
+	a := New(1_000_000)
 	rt := curve.Linear(1_000_000)
 	s, cl := harness(t, rt, a)
 
@@ -225,7 +225,7 @@ func TestTickCatchesStalledBacklog(t *testing.T) {
 // TestBurnRateWindows places violations at different ages and checks the
 // multi-resolution windows disagree accordingly.
 func TestBurnRateWindows(t *testing.T) {
-	a := New(Options{})
+	a := New(0)
 	rt := curve.Linear(1_000_000)
 	s, cl := harness(t, rt, a)
 
@@ -259,7 +259,7 @@ func TestBurnRateWindows(t *testing.T) {
 // does and checks ids, sums and the merged verdict.
 func TestMergeRemapsAndSums(t *testing.T) {
 	mk := func(late bool) *Snapshot {
-		a := New(Options{LinkRate: 1_000_000})
+		a := New(1_000_000)
 		s, cl := harness(t, curve.Linear(1_000_000), a)
 		now := int64(0)
 		s.Enqueue(&pktq.Packet{Len: 1500, Class: cl.ID(), Arrival: now}, now)
@@ -295,7 +295,7 @@ func TestMergeRemapsAndSums(t *testing.T) {
 // TestLiveRetuneRecompilesCurve changes the class's curves mid-run and
 // checks the auditor follows the new guarantee.
 func TestLiveRetuneRecompilesCurve(t *testing.T) {
-	a := New(Options{LinkRate: 10_000_000})
+	a := New(10_000_000)
 	s, cl := harness(t, curve.Linear(1_000_000), a)
 
 	now := int64(0)
@@ -319,7 +319,7 @@ func TestLiveRetuneRecompilesCurve(t *testing.T) {
 
 // TestSteadyStateAllocFree: after warm-up, Trace must not allocate.
 func TestSteadyStateAllocFree(t *testing.T) {
-	a := New(Options{LinkRate: 1_000_000})
+	a := New(1_000_000)
 	s, cl := harness(t, curve.Linear(1_000_000), a)
 	now := int64(0)
 	step := 1500 * msec / 1000

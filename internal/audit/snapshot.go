@@ -147,10 +147,9 @@ func (a *Auditor) snapClass(st *classAudit) ClassAudit {
 		c.DelayBoundNs = st.delayBound(a)
 	}
 	nowSec := a.lastEvent / int64(time.Second)
-	winSec := (a.winNs + int64(time.Second) - 1) / int64(time.Second)
 	for i := range st.margins {
 		sl := &st.margins[i]
-		if st.hasMargin && sl.key > 0 && nowSec-(sl.key-1) < winSec {
+		if st.hasMargin && sl.key > 0 && nowSec-(sl.key-1) < marginSlots {
 			if sl.min < c.MinMarginNs {
 				c.MinMarginNs = sl.min
 			}
@@ -180,7 +179,7 @@ func (a *Auditor) snapClass(st *classAudit) ClassAudit {
 	c.BurnRate1s = burnFrac(v1, c1)
 	c.BurnRate30s = burnFrac(v30, c30)
 	c.BurnRate5m = burnFrac(v300, c300)
-	c.Verdict = verdictOf(&c, a.tolNs)
+	c.Verdict = verdictOf(&c)
 	return c
 }
 
@@ -195,12 +194,12 @@ func burnFrac(v, n uint64) float64 {
 // the guarantee is being broken now; violations within 5 m, or a
 // windowed margin that dipped below the tolerance, mean it held with no
 // headroom.
-func verdictOf(c *ClassAudit, tolNs int64) Verdict {
+func verdictOf(c *ClassAudit) Verdict {
 	switch {
 	case c.BurnRate30s > 0:
 		return VerdictViolated
 	case c.BurnRate5m > 0,
-		c.Guaranteed && c.MinMarginNs != curve.Inf && c.MinMarginNs < tolNs:
+		c.Guaranteed && c.MinMarginNs != curve.Inf && c.MinMarginNs < tolerance:
 		return VerdictAtRisk
 	default:
 		return VerdictOK

@@ -31,8 +31,8 @@ const (
 	// EvTransmit: a driver handed the packet to its transmit callback. The
 	// scheduler core never emits this event; real-time drivers (the public
 	// PacedQueue) report it into the flight recorder so the event stream
-	// covers the full packet lifecycle. Aux carries the pacing delay
-	// (transmit − dequeue, ns).
+	// covers the full packet lifecycle. Aux is 0: a packet is transmitted
+	// on the pacing pass that dequeued it, at that pass's clock.
 	EvTransmit
 	// EvCorrect: a completion correction reconciled a work item's actual
 	// cost against the estimate it was scheduled under (Scheduler.Correct).
@@ -99,10 +99,6 @@ const (
 	// DropStopped: the driver was already stopped. Driver-level, like
 	// DropIntakeFull.
 	DropStopped
-	// DropCanceled: the submitter's context was canceled while the item
-	// blocked for admission (SubmitCtx) or waited in the scheduler. Never
-	// emitted by the scheduler core.
-	DropCanceled
 )
 
 func (r DropReason) String() string {
@@ -119,8 +115,6 @@ func (r DropReason) String() string {
 		return "intake-full"
 	case DropStopped:
 		return "stopped"
-	case DropCanceled:
-		return "canceled"
 	default:
 		return "unknown"
 	}

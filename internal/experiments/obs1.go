@@ -26,7 +26,7 @@ class capped root ls=2Mbit ul=1Mbit
 // returns everything needed to cross-check it against the scheduler's own
 // counters.
 func obs1Run() (*metrics.Aggregator, *core.Scheduler, map[string]*core.Class, *sim.Result) {
-	agg := metrics.NewAggregator(metrics.Options{})
+	agg := metrics.NewAggregator()
 	spec := hierarchy.MustParse(obs1Spec)
 	sch, byName, err := spec.BuildHFSC(core.Options{Tracer: agg})
 	if err != nil {
@@ -127,7 +127,7 @@ func Obs1Exposition(w io.Writer) error {
 // through the same recorder a live PacedQueue uses, so simulated and
 // production event streams are directly comparable.
 func Obs1Events(w io.Writer) error {
-	agg := metrics.NewAggregator(metrics.Options{})
+	agg := metrics.NewAggregator()
 	spec := hierarchy.MustParse(obs1Spec)
 	// Room for the whole run: ~2 s of events at a few events per packet.
 	rec := flight.New(1 << 17)

@@ -25,7 +25,7 @@ func Obs2() *Report {
 	r := &Report{ID: "OBS-2", Title: "Guarantee auditor: online verdicts vs packet-level ground truth"}
 
 	// Phase one: the OBS-1 workload, honestly scheduled.
-	aud := audit.New(audit.Options{LinkRate: 10 * 1000 * kbit})
+	aud := audit.New(10 * 1000 * kbit)
 	spec := hierarchy.MustParse(obs1Spec)
 	sch, byName, err := spec.BuildHFSC(core.Options{Tracer: aud})
 	if err != nil {
@@ -101,7 +101,7 @@ func Obs2() *Report {
 	// Phase two: injected lateness. The same conforming real-time load is
 	// enqueued on time but the link stalls — nothing is served until 250 ms
 	// after the last arrival, far past the curve's 5 ms promise.
-	aud2 := audit.New(audit.Options{LinkRate: link})
+	aud2 := audit.New(link)
 	sch2, byName2, err := spec.BuildHFSC(core.Options{Tracer: aud2})
 	if err != nil {
 		panic(err)

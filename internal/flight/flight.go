@@ -67,8 +67,7 @@ type Record struct {
 	// PktSeq is the packet's sequence number (0 when no packet).
 	PktSeq uint64
 	// Aux is the event-specific payload: deadline slack for dequeue-rt,
-	// drop reason for drop, fit time for ulimit-defer, pacing delay for
-	// transmit.
+	// drop reason for drop, fit time for ulimit-defer; 0 for transmit.
 	Aux int64
 	// Shard is filled in by multi-shard readers (FlightEvents); single
 	// recorders leave it 0.

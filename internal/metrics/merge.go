@@ -24,13 +24,11 @@ func MergeSnapshots(snaps []*Snapshot, remap func(shard, id int) (int, bool)) *S
 		out.DropsBadPacket += s.DropsBadPacket
 		out.DropsIntakeFull += s.DropsIntakeFull
 		out.DropsStopped += s.DropsStopped
-		out.DropsCanceled += s.DropsCanceled
 		out.SpansSampled += s.SpansSampled
 		out.FlightRecorded += s.FlightRecorded
 		out.FlightDropped += s.FlightDropped
 		mergeHist(&out.SpanIntakeWait, s.SpanIntakeWait)
 		mergeHist(&out.SpanQueueDelay, s.SpanQueueDelay)
-		mergeHist(&out.SpanPacingDelay, s.SpanPacingDelay)
 		for _, c := range s.Classes {
 			if remap != nil {
 				id, ok := remap(i, c.ID)
@@ -49,9 +47,10 @@ func MergeSnapshots(snaps []*Snapshot, remap func(shard, id int) (int, bool)) *S
 // mergeHist folds src into dst. The first non-empty histogram is copied
 // (never aliased — shard snapshots stay immutable); later ones add
 // elementwise when the bucket bounds agree. Zero-value histograms (a
-// never-started shard) merge as no-ops, and mismatched bounds — shards
-// configured with different buckets — fold into Sum/Count only, so the
-// totals stay right even when the buckets cannot line up.
+// never-started shard) merge as no-ops, and mismatched bounds (only
+// hand-built snapshots; the aggregator's buckets are fixed) fold into
+// Sum/Count only, so the totals stay right even when the buckets cannot
+// line up.
 func mergeHist(dst *HistogramSnapshot, src HistogramSnapshot) {
 	if src.Count == 0 && len(src.Bounds) == 0 {
 		return

@@ -67,20 +67,18 @@ func spanHist(bounds []int64, counts []uint64, sum int64, n uint64) HistogramSna
 func TestMergeSnapshotsSpanAndFlight(t *testing.T) {
 	bounds := []int64{10, 100}
 	a := &Snapshot{
-		SpansSampled:    4,
-		FlightRecorded:  100,
-		FlightDropped:   5,
-		SpanIntakeWait:  spanHist(bounds, []uint64{1, 2, 1}, 300, 4),
-		SpanQueueDelay:  spanHist(bounds, []uint64{4, 0, 0}, 20, 4),
-		SpanPacingDelay: spanHist(bounds, []uint64{0, 0, 4}, 4000, 4),
+		SpansSampled:   4,
+		FlightRecorded: 100,
+		FlightDropped:  5,
+		SpanIntakeWait: spanHist(bounds, []uint64{1, 2, 1}, 300, 4),
+		SpanQueueDelay: spanHist(bounds, []uint64{4, 0, 0}, 20, 4),
 	}
 	b := &Snapshot{
-		SpansSampled:    2,
-		FlightRecorded:  50,
-		FlightDropped:   0,
-		SpanIntakeWait:  spanHist(bounds, []uint64{2, 0, 0}, 10, 2),
-		SpanQueueDelay:  spanHist(bounds, []uint64{0, 2, 0}, 100, 2),
-		SpanPacingDelay: spanHist(bounds, []uint64{1, 1, 0}, 60, 2),
+		SpansSampled:   2,
+		FlightRecorded: 50,
+		FlightDropped:  0,
+		SpanIntakeWait: spanHist(bounds, []uint64{2, 0, 0}, 10, 2),
+		SpanQueueDelay: spanHist(bounds, []uint64{0, 2, 0}, 100, 2),
 	}
 	// zero is the never-started-queue path: Stats/Snapshot on a queue that
 	// never ran yields a fully zero-valued Snapshot (nil histogram fields).
@@ -99,8 +97,8 @@ func TestMergeSnapshotsSpanAndFlight(t *testing.T) {
 			t.Fatalf("intake-wait counts = %v", iw.Counts)
 		}
 	}
-	if m.SpanPacingDelay.Counts[0] != 1 || m.SpanPacingDelay.Counts[2] != 4 {
-		t.Fatalf("pacing counts = %v", m.SpanPacingDelay.Counts)
+	if m.SpanQueueDelay.Counts[0] != 4 || m.SpanQueueDelay.Counts[1] != 2 {
+		t.Fatalf("queue counts = %v", m.SpanQueueDelay.Counts)
 	}
 
 	// Merging must not alias shard snapshots: the input histograms stay

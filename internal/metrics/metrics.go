@@ -32,11 +32,11 @@ import (
 	"github.com/netsched/hfsc/internal/stats"
 )
 
-// DefaultWindow is the default EWMA time constant for the per-class
-// service-rate estimators.
+// DefaultWindow is the EWMA time constant for the per-class service-rate
+// estimators.
 const DefaultWindow = time.Second
 
-// DelayBuckets are the default histogram upper bounds (ns) for nonnegative
+// DelayBuckets are the histogram upper bounds (ns) for nonnegative
 // durations such as queueing delay: roughly logarithmic from 10 µs to 10 s.
 var DelayBuckets = []int64{
 	10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
@@ -44,7 +44,7 @@ var DelayBuckets = []int64{
 	100_000_000, 250_000_000, 500_000_000, 1_000_000_000, 10_000_000_000,
 }
 
-// SlackBuckets are the default histogram upper bounds (ns) for deadline
+// SlackBuckets are the histogram upper bounds (ns) for deadline
 // slack (deadline − departure). Negative values are deadline misses; the
 // negative range is mirrored so the miss magnitude is visible too.
 var SlackBuckets = []int64{
@@ -249,15 +249,6 @@ type classState struct {
 	enqAt ring // per-packet enqueue clocks (FIFO order mirrors the leaf queue)
 }
 
-// Options configures an Aggregator.
-type Options struct {
-	// Window is the EWMA time constant (default DefaultWindow).
-	Window time.Duration
-	// SlackBuckets / DelayBuckets override the default histogram bounds.
-	SlackBuckets []int64
-	DelayBuckets []int64
-}
-
 // Aggregator folds core scheduler events into per-class metrics. It
 // implements core.Sink (attach it behind a core.Batch, as
 // hfsc.Config.Metrics does) and, for offline use, core.Tracer. All
@@ -265,8 +256,6 @@ type Options struct {
 // allocation-free in steady state.
 type Aggregator struct {
 	mu      sync.Mutex
-	opts    Options
-	tau     float64
 	classes []*classState // indexed by class id; nil = never seen or forgotten
 
 	lastEvent    int64
@@ -278,15 +267,12 @@ type Aggregator struct {
 	// incrementally by CountDrop.
 	dropIntakeFull uint64
 	dropStopped    uint64
-	dropCanceled   uint64
 
 	// Sampled packet-lifecycle spans (ObserveSpan): the latency
-	// decomposition of 1-in-N packets into intake wait, queueing delay,
-	// and pacing delay.
+	// decomposition of 1-in-N packets into intake wait and queueing delay.
 	spansSampled uint64
 	spanIntake   *Histogram
 	spanQueue    *Histogram
-	spanPacing   *Histogram
 
 	// Flight-recorder totals, published monotonically by RecordFlight
 	// (like RecordIntake: counted lock-free upstream, synced on snapshot).
@@ -295,22 +281,10 @@ type Aggregator struct {
 }
 
 // NewAggregator creates an aggregator.
-func NewAggregator(opts Options) *Aggregator {
-	if opts.Window <= 0 {
-		opts.Window = DefaultWindow
-	}
-	if opts.SlackBuckets == nil {
-		opts.SlackBuckets = SlackBuckets
-	}
-	if opts.DelayBuckets == nil {
-		opts.DelayBuckets = DelayBuckets
-	}
+func NewAggregator() *Aggregator {
 	return &Aggregator{
-		opts:       opts,
-		tau:        float64(opts.Window.Nanoseconds()),
-		spanIntake: NewHistogram(opts.DelayBuckets),
-		spanQueue:  NewHistogram(opts.DelayBuckets),
-		spanPacing: NewHistogram(opts.DelayBuckets),
+		spanIntake: NewHistogram(DelayBuckets),
+		spanQueue:  NewHistogram(DelayBuckets),
 	}
 }
 
@@ -326,11 +300,11 @@ func (a *Aggregator) state(cl *core.Class) *classState {
 			id:     id,
 			name:   cl.Name(),
 			leaf:   cl.IsLeaf(),
-			slack:  NewHistogram(a.opts.SlackBuckets),
-			qdelay: NewHistogram(a.opts.DelayBuckets),
+			slack:  NewHistogram(SlackBuckets),
+			qdelay: NewHistogram(DelayBuckets),
 		}
-		st.rate.tau = a.tau
-		st.rateRT.tau = a.tau
+		st.rate.SetTau(float64(DefaultWindow))
+		st.rateRT.SetTau(float64(DefaultWindow))
 		a.classes[id] = st
 	}
 	return st
@@ -438,8 +412,6 @@ func (a *Aggregator) CountDrop(reason core.DropReason, now int64) {
 		a.dropIntakeFull++
 	case core.DropStopped:
 		a.dropStopped++
-	case core.DropCanceled:
-		a.dropCanceled++
 	default:
 		a.dropUnknown++
 	}
@@ -466,35 +438,17 @@ func (a *Aggregator) RecordIntake(intakeFull, stopped uint64, now int64) {
 	a.mu.Unlock()
 }
 
-// RecordCanceled publishes a driver's cumulative canceled-submit total
-// (SubmitCtx contexts done while blocked for admission). Monotone, like
-// RecordIntake.
-func (a *Aggregator) RecordCanceled(canceled uint64, now int64) {
-	a.mu.Lock()
-	if now > a.lastEvent {
-		a.lastEvent = now
-	}
-	if canceled > a.dropCanceled {
-		a.dropCanceled = canceled
-	}
-	a.mu.Unlock()
-}
-
 // ObserveSpan folds one sampled packet-lifecycle span into the latency
-// decomposition: intake wait (submit → intake drain), queueing delay
-// (enqueue → dequeue), pacing delay (dequeue → transmit), all ns.
-// Negative components (possible when the stamping clocks are read on
-// different goroutines) clamp to zero rather than corrupting the
-// histograms.
-func (a *Aggregator) ObserveSpan(intake, queue, pacing, now int64) {
+// decomposition: intake wait (submit → intake drain) and queueing delay
+// (enqueue → dequeue), both ns. Negative components (possible when the
+// stamping clocks are read on different goroutines) clamp to zero rather
+// than corrupting the histograms.
+func (a *Aggregator) ObserveSpan(intake, queue, now int64) {
 	if intake < 0 {
 		intake = 0
 	}
 	if queue < 0 {
 		queue = 0
-	}
-	if pacing < 0 {
-		pacing = 0
 	}
 	a.mu.Lock()
 	if now > a.lastEvent {
@@ -503,7 +457,6 @@ func (a *Aggregator) ObserveSpan(intake, queue, pacing, now int64) {
 	a.spansSampled++
 	a.spanIntake.Observe(intake)
 	a.spanQueue.Observe(queue)
-	a.spanPacing.Observe(pacing)
 	a.mu.Unlock()
 }
 
@@ -582,20 +535,15 @@ type Snapshot struct {
 	// Stop. Like the admission drops they never reached a leaf queue.
 	DropsIntakeFull uint64
 	DropsStopped    uint64
-	// DropsCanceled counts work items whose submitter's context was
-	// canceled while blocked for admission (SubmitCtx and the admission
-	// middleware). Driver-level, like the intake drops.
-	DropsCanceled uint64
 	// SpansSampled counts packet-lifecycle spans folded into the
 	// decomposition histograms below (1-in-N sampling; see Config.Spans).
 	SpansSampled uint64
-	// SpanIntakeWait / SpanQueueDelay / SpanPacingDelay decompose sampled
-	// packets' end-to-end latency: submit → intake drain, enqueue →
-	// dequeue, and dequeue → transmit (all ns). Zero-valued (nil bounds)
-	// when the driver never started or sampling is off.
-	SpanIntakeWait  HistogramSnapshot
-	SpanQueueDelay  HistogramSnapshot
-	SpanPacingDelay HistogramSnapshot
+	// SpanIntakeWait / SpanQueueDelay decompose sampled packets'
+	// end-to-end latency: submit → intake drain and enqueue → dequeue
+	// (both ns). A packet is transmitted on the pacing pass that dequeues
+	// it, so the two sum to submit → transmit.
+	SpanIntakeWait HistogramSnapshot
+	SpanQueueDelay HistogramSnapshot
 	// FlightRecorded / FlightDropped are the flight recorder's cumulative
 	// totals: records written, and records overwritten (ring wrap).
 	FlightRecorded uint64
@@ -631,11 +579,9 @@ func (a *Aggregator) Snapshot() *Snapshot {
 		DropsBadPacket:    a.dropBadPkt,
 		DropsIntakeFull:   a.dropIntakeFull,
 		DropsStopped:      a.dropStopped,
-		DropsCanceled:     a.dropCanceled,
 		SpansSampled:      a.spansSampled,
 		SpanIntakeWait:    a.spanIntake.snapshot(),
 		SpanQueueDelay:    a.spanQueue.snapshot(),
-		SpanPacingDelay:   a.spanPacing.snapshot(),
 		FlightRecorded:    a.flightRecorded,
 		FlightDropped:     a.flightDropped,
 	}

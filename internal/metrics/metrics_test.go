@@ -91,7 +91,7 @@ func buildTraced(t *testing.T, agg *metrics.Aggregator) (*core.Scheduler, *core.
 }
 
 func TestAggregatorCountsMatchScheduler(t *testing.T) {
-	agg := metrics.NewAggregator(metrics.Options{})
+	agg := metrics.NewAggregator()
 	s, a, b := buildTraced(t, agg)
 
 	now := int64(0)
@@ -157,7 +157,7 @@ func TestAggregatorCountsMatchScheduler(t *testing.T) {
 }
 
 func TestAggregatorGaugesTrackQueue(t *testing.T) {
-	agg := metrics.NewAggregator(metrics.Options{})
+	agg := metrics.NewAggregator()
 	s, a, _ := buildTraced(t, agg)
 	s.Enqueue(&pktq.Packet{Len: 700, Class: a.ID()}, 0)
 	s.Enqueue(&pktq.Packet{Len: 300, Class: a.ID()}, 0)
@@ -179,7 +179,7 @@ func TestAggregatorGaugesTrackQueue(t *testing.T) {
 }
 
 func TestCountDrop(t *testing.T) {
-	agg := metrics.NewAggregator(metrics.Options{})
+	agg := metrics.NewAggregator()
 	agg.CountDrop(core.DropUnknownClass, 5)
 	agg.CountDrop(core.DropUnknownClass, 6)
 	agg.CountDrop(core.DropBadPacket, 7)
@@ -193,7 +193,7 @@ func TestCountDrop(t *testing.T) {
 }
 
 func TestRecordIntake(t *testing.T) {
-	agg := metrics.NewAggregator(metrics.Options{})
+	agg := metrics.NewAggregator()
 	agg.RecordIntake(10, 2, 5)
 	snap := agg.Snapshot()
 	if snap.DropsIntakeFull != 10 || snap.DropsStopped != 2 {
@@ -212,7 +212,7 @@ func TestRecordIntake(t *testing.T) {
 }
 
 func TestCountDropIntakeReasons(t *testing.T) {
-	agg := metrics.NewAggregator(metrics.Options{})
+	agg := metrics.NewAggregator()
 	agg.CountDrop(core.DropIntakeFull, 1)
 	agg.CountDrop(core.DropIntakeFull, 2)
 	agg.CountDrop(core.DropStopped, 3)
@@ -226,7 +226,7 @@ func TestCountDropIntakeReasons(t *testing.T) {
 }
 
 func TestUlimitDeferCounted(t *testing.T) {
-	agg := metrics.NewAggregator(metrics.Options{})
+	agg := metrics.NewAggregator()
 	s := core.New(core.Options{Tracer: agg})
 	// Leaf with a low upper limit: after one packet it is rate-limited.
 	ul, err := s.AddClass(nil, "capped", curve.SC{}, lin(mbps), lin(mbps/100))
@@ -251,7 +251,7 @@ func TestUlimitDeferCounted(t *testing.T) {
 }
 
 func TestTraceSteadyStateZeroAllocs(t *testing.T) {
-	agg := metrics.NewAggregator(metrics.Options{})
+	agg := metrics.NewAggregator()
 	s, a, b := buildTraced(t, agg)
 	now := int64(0)
 	pa := &pktq.Packet{Len: 1000, Class: a.ID()}
@@ -405,7 +405,7 @@ func promValidate(t *testing.T, text string) map[string]float64 {
 }
 
 func TestWritePrometheus(t *testing.T) {
-	agg := metrics.NewAggregator(metrics.Options{})
+	agg := metrics.NewAggregator()
 	s, a, b := buildTraced(t, agg)
 	now := int64(0)
 	for i := 0; i < 200; i++ {
@@ -455,7 +455,7 @@ func TestWritePrometheus(t *testing.T) {
 }
 
 func TestPromLabelEscaping(t *testing.T) {
-	agg := metrics.NewAggregator(metrics.Options{})
+	agg := metrics.NewAggregator()
 	s := core.New(core.Options{Tracer: agg, DefaultQueueLimit: 8})
 	weird, err := s.AddClass(nil, `we"ird\name`, lin(mbps), lin(mbps), curve.SC{})
 	if err != nil {

@@ -58,7 +58,6 @@ func WritePrometheus(w io.Writer, s *Snapshot) error {
 	e.sample("hfsc_enqueue_rejects_total", nil, `reason="bad_packet"`, float64(s.DropsBadPacket))
 	e.sample("hfsc_enqueue_rejects_total", nil, `reason="intake_full"`, float64(s.DropsIntakeFull))
 	e.sample("hfsc_enqueue_rejects_total", nil, `reason="stopped"`, float64(s.DropsStopped))
-	e.sample("hfsc_enqueue_rejects_total", nil, `reason="canceled"`, float64(s.DropsCanceled))
 
 	e.family("hfsc_deadline_misses_total", "counter",
 		"Real-time dequeues that departed after their service-curve deadline.")
@@ -131,15 +130,12 @@ func WritePrometheus(w io.Writer, s *Snapshot) error {
 	e.sample("hfsc_spans_sampled_total", nil, "", float64(s.SpansSampled))
 
 	e.family("hfsc_span_seconds", "histogram",
-		"Sampled per-packet latency decomposition by stage: intake_wait (submit to intake drain), queue (enqueue to dequeue), pacing (dequeue to transmit).")
+		"Sampled per-packet latency decomposition by stage: intake_wait (submit to intake drain), queue (enqueue to dequeue and transmit).")
 	if s.SpanIntakeWait.Counts != nil {
 		e.histogram("hfsc_span_seconds", nil, `stage="intake_wait"`, s.SpanIntakeWait)
 	}
 	if s.SpanQueueDelay.Counts != nil {
 		e.histogram("hfsc_span_seconds", nil, `stage="queue"`, s.SpanQueueDelay)
-	}
-	if s.SpanPacingDelay.Counts != nil {
-		e.histogram("hfsc_span_seconds", nil, `stage="pacing"`, s.SpanPacingDelay)
 	}
 
 	e.family("hfsc_flight_records_total", "counter",

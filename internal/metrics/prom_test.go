@@ -71,10 +71,8 @@ func syntheticSnapshot(n int) *metrics.Snapshot {
 		DropsBadPacket:    1 << 60,
 		DropsIntakeFull:   12,
 		DropsStopped:      0,
-		DropsCanceled:     7,
 		SpansSampled:      99,
 		SpanIntakeWait:    hist(metrics.DelayBuckets, 1),
-		SpanPacingDelay:   hist(metrics.DelayBuckets, 2),
 		FlightRecorded:    123_456_789_012,
 		FlightDropped:     5,
 	}

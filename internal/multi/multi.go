@@ -27,7 +27,6 @@ package multi
 
 import (
 	"runtime"
-	"time"
 
 	"github.com/netsched/hfsc/internal/metrics"
 )
@@ -181,32 +180,28 @@ func Slices(line uint64, floors []uint64, weights []float64, out []uint64) []uin
 // safe for concurrent use.
 type Rebalancer struct {
 	line    uint64
-	window  float64 // ns
 	rates   []metrics.EWMA
 	prev    []int64
 	weights []float64
 	out     []uint64
 }
 
-// DefaultWindow is the default EWMA time constant for demand estimation.
-const DefaultWindow = time.Second
+// window is the EWMA time constant for demand estimation (ns), the same
+// one-second window as the per-class service-rate estimators.
+const window = float64(metrics.DefaultWindow)
 
 // NewRebalancer creates a rebalancer for the given line rate and shard
-// count; window <= 0 selects DefaultWindow.
-func NewRebalancer(line uint64, shards int, window time.Duration) *Rebalancer {
-	if window <= 0 {
-		window = DefaultWindow
-	}
+// count.
+func NewRebalancer(line uint64, shards int) *Rebalancer {
 	r := &Rebalancer{
 		line:    line,
-		window:  float64(window.Nanoseconds()),
 		rates:   make([]metrics.EWMA, shards),
 		prev:    make([]int64, shards),
 		weights: make([]float64, shards),
 		out:     make([]uint64, 0, shards),
 	}
 	for i := range r.rates {
-		r.rates[i].SetTau(r.window)
+		r.rates[i].SetTau(window)
 	}
 	return r
 }
@@ -222,7 +217,7 @@ func (r *Rebalancer) Slices(now int64, sentBytes, backlogBytes []int64, floors [
 			delta = 0
 		}
 		r.rates[i].Observe(delta, now)
-		r.weights[i] = r.rates[i].Rate(now) + float64(backlogBytes[i])*1e9/r.window
+		r.weights[i] = r.rates[i].Rate(now) + float64(backlogBytes[i])*1e9/window
 	}
 	r.out = Slices(r.line, floors, r.weights, r.out)
 	return r.out

@@ -111,7 +111,7 @@ func TestSlicesEqualSplitWhenIdle(t *testing.T) {
 func TestRebalancerFollowsDemand(t *testing.T) {
 	const line = 1_000_000
 	floors := []uint64{100_000, 100_000}
-	r := NewRebalancer(line, 2, 100*time.Millisecond)
+	r := NewRebalancer(line, 2)
 
 	now := int64(0)
 	sent := []int64{0, 0}
@@ -155,7 +155,7 @@ func TestRebalancerFloorsNeverViolated(t *testing.T) {
 		for i := range floors {
 			floors[i] = uint64(rng.Intn(int(line) / n))
 		}
-		r := NewRebalancer(line, n, time.Duration(1+rng.Intn(1000))*time.Millisecond)
+		r := NewRebalancer(line, n)
 		sent := make([]int64, n)
 		backlog := make([]int64, n)
 		now := int64(0)

@@ -40,9 +40,6 @@ const (
 	DropIntakeFull = core.DropIntakeFull
 	// DropStopped: the PacedQueue was already stopped (driver-level).
 	DropStopped = core.DropStopped
-	// DropCanceled: the submitter's context was done while blocked for
-	// admission (SubmitCtx; driver-level, like DropStopped).
-	DropCanceled = core.DropCanceled
 )
 
 // Offer offers a packet at the given clock (ns) and reports exactly what

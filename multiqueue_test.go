@@ -1,7 +1,6 @@
 package hfsc_test
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -36,8 +35,7 @@ func TestMultiQueueCoarseClockSpans(t *testing.T) {
 			Metrics:  true,
 			Spans:    4,
 		},
-		Shards:         4,
-		RebalanceEvery: 2 * time.Millisecond,
+		Shards: 4,
 	}, func(p *hfsc.Packet) {
 		mu.Lock()
 		if last, ok := lastSeq[p.Class]; ok && p.Seq <= last {
@@ -52,6 +50,7 @@ func TestMultiQueueCoarseClockSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.IntakeDepth = 128
+	hfsc.SetRebalanceEvery(m, 2*time.Millisecond)
 	classes := make([]int, producers)
 	for i := range classes {
 		id, err := m.AddClass("", fmt.Sprintf("c%d", i), hfsc.ClassConfig{
@@ -147,9 +146,8 @@ func TestMultiQueueCoarseClockSpans(t *testing.T) {
 	// non-negative (not merely clamped); each histogram must have folded
 	// in every sampled span.
 	for name, h := range map[string]hfsc.HistogramSnapshot{
-		"intake_wait":  snap.SpanIntakeWait,
-		"queue_delay":  snap.SpanQueueDelay,
-		"pacing_delay": snap.SpanPacingDelay,
+		"intake_wait": snap.SpanIntakeWait,
+		"queue_delay": snap.SpanQueueDelay,
 	} {
 		if h.Count != snap.SpansSampled {
 			t.Fatalf("span %s histogram count %d, want %d", name, h.Count, snap.SpansSampled)
@@ -272,7 +270,6 @@ func TestMultiQueueSubmitNPrefix(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			q := newTestQueue(t, hfsc.MultiConfig{Config: hfsc.Config{LinkRate: hfsc.Mbps}, Shards: shards}, func(p *hfsc.Packet) {})
-			q.IntakeShards = 1
 			q.IntakeDepth = 8 // no consumer running: rings fill and stay full
 			ids := make([]int, shards)
 			onShard := map[int]bool{}
@@ -407,9 +404,6 @@ func TestPacedQueueIDEncoding(t *testing.T) {
 				if n, r := q.SubmitN([]*hfsc.Packet{{Len: 100, Class: valid}, p}); n != 1 || r != hfsc.DropUnknownClass {
 					t.Errorf("SubmitN(valid, %d) = %d/%v", id, n, r)
 				}
-				if r := q.SubmitCtx(context.Background(), p); r != hfsc.DropUnknownClass {
-					t.Errorf("SubmitCtx(%d) = %v", id, r)
-				}
 			}
 			if r := q.Submit(nil); r != hfsc.DropBadPacket {
 				t.Errorf("Submit(nil) = %v", r)
@@ -417,10 +411,7 @@ func TestPacedQueueIDEncoding(t *testing.T) {
 			if n, r := q.SubmitN([]*hfsc.Packet{nil}); n != 0 || r != hfsc.DropBadPacket {
 				t.Errorf("SubmitN(nil) = %d/%v", n, r)
 			}
-			if r := q.SubmitCtx(context.Background(), &hfsc.Packet{Class: valid}); r != hfsc.DropBadPacket {
-				t.Errorf("SubmitCtx(zero cost) = %v", r)
-			}
-			if got, want := q.Snapshot().DropsUnknownClass, uint64(3*len(bad)); got != want {
+			if got, want := q.Snapshot().DropsUnknownClass, uint64(2*len(bad)); got != want {
 				t.Errorf("DropsUnknownClass = %d, want %d", got, want)
 			}
 
@@ -648,9 +639,8 @@ func TestMultiQueueStatsBeforeStart(t *testing.T) {
 func TestMultiQueueRebalanceFloors(t *testing.T) {
 	const line = 1_000_000 * hfsc.Bps
 	m, err := hfsc.NewMultiQueue(hfsc.MultiConfig{
-		Config:         hfsc.Config{LinkRate: line},
-		Shards:         2,
-		RebalanceEvery: -1, // drive Rebalance by hand
+		Config: hfsc.Config{LinkRate: line},
+		Shards: 2,
 	}, func(p *hfsc.Packet) {})
 	if err != nil {
 		t.Fatal(err)
@@ -667,6 +657,7 @@ func TestMultiQueueRebalanceFloors(t *testing.T) {
 	if busyShard == idleShard {
 		t.Fatal("test needs the classes on different shards")
 	}
+	hfsc.SetRebalanceEvery(m, time.Hour) // the test drives every pass
 	m.Start()
 	defer m.Stop()
 
@@ -677,7 +668,7 @@ func TestMultiQueueRebalanceFloors(t *testing.T) {
 			p.Class = busy
 			m.Submit(p)
 		}
-		m.Rebalance()
+		hfsc.Rebalance(m)
 		st := m.Stats()
 		var sum uint64
 		for i, sh := range st.Shards {

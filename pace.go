@@ -1,7 +1,6 @@
 package hfsc
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math/bits"
@@ -72,12 +71,11 @@ type PacedQueue struct {
 	// it must not call back into the PacedQueue. Set before Start.
 	OnReject func(*Packet, DropReason)
 
-	// IntakeShards and IntakeDepth tune each shard's intake rings; set them
-	// before the first Submit or Start. Zero picks the defaults (one ring
-	// per CPU rounded up to a power of two, 256 slots per ring); both are
-	// rounded up to powers of two.
-	IntakeShards int
-	IntakeDepth  int
+	// IntakeDepth sizes each of a shard's intake rings (one ring per CPU,
+	// rounded up to a power of two); set it before the first Submit or
+	// Start. Zero picks the default of 256 slots; other values are rounded
+	// up to a power of two.
+	IntakeDepth int
 
 	// DrainHighWater caps the scheduler-side backlog each shard's drain
 	// builds: once Backlog() reaches it, arrivals stay in the bounded
@@ -110,17 +108,18 @@ type PacedQueue struct {
 
 	// Counted per queue, not per shard, and published through shard 0's
 	// metrics.
-	dropStopped  atomic.Uint64
-	dropCanceled atomic.Uint64
+	dropStopped atomic.Uint64
 
 	// adminMu serializes the admin operations, so a name is created on at
 	// most one shard. It is held across shard inspections, which placeMu —
 	// taken by the shards' placement hooks on pacing goroutines — never is.
 	adminMu sync.Mutex
 
-	placeMu  sync.Mutex
-	place    *multi.Placement
-	rebal    *multi.Rebalancer // nil with one shard
+	placeMu sync.Mutex
+	place   *multi.Placement
+	rebal   *multi.Rebalancer // nil with one shard
+	// rebEvery is the rebalancing period: paceRebalanceEvery, which
+	// tests shorten.
 	rebEvery time.Duration
 	rebDone  sync.WaitGroup
 	floorBuf []uint64
@@ -203,6 +202,11 @@ const (
 	// cost that makes sharding a loss on few cores. A drained queue
 	// exhausts the budget in microseconds and parks as before.
 	paceIdleSpin = 128
+	// paceRebalanceEvery is the excess-bandwidth rebalancing period of a
+	// multi-shard queue: how often the measured per-shard demand
+	// re-divides the line rate beyond the guaranteed floors: four passes
+	// per window of the one-second demand estimator.
+	paceRebalanceEvery = 250 * time.Millisecond
 	// paceDrainHighWater is the default DrainHighWater: eight full bursts —
 	// enough backlog to keep the link busy through any pacing gap, small
 	// enough that the working set of queued packets stays cache-resident
@@ -221,19 +225,11 @@ type MultiConfig struct {
 
 	// Shards is the number of scheduler shards — independent Schedulers,
 	// each behind its own pacing goroutine. 0 picks one per CPU rounded up
-	// to a power of two; values are clamped to [1, 64].
+	// to a power of two; values are clamped to [1, 64]. With several
+	// shards a rebalancer re-divides the line rate's excess between them
+	// every 250 ms.
 	Shards int
-
-	// RebalanceEvery is the excess-bandwidth rebalancing period: how often
-	// the measured per-shard demand re-divides the line rate beyond the
-	// guaranteed floors. 0 picks the default (250 ms); negative disables
-	// rebalancing, freezing the slices computed at Start.
-	RebalanceEvery time.Duration
 }
-
-// DefaultRebalanceEvery is the rebalancing period used when
-// MultiConfig.RebalanceEvery is zero.
-const DefaultRebalanceEvery = 250 * time.Millisecond
 
 // NewPacedQueue builds the one-shard queue: it adopts s as shard 0, so
 // class ids are s's own and s's existing classes and templates carry over.
@@ -281,11 +277,8 @@ func NewMultiQueue(cfg MultiConfig, transmit func(*Packet)) (*PacedQueue, error)
 		}
 	}
 	if n > 1 {
-		q.rebal = multi.NewRebalancer(cfg.LinkRate, n, cfg.MetricsWindow)
-		q.rebEvery = cfg.RebalanceEvery
-		if q.rebEvery == 0 {
-			q.rebEvery = DefaultRebalanceEvery
-		}
+		q.rebal = multi.NewRebalancer(cfg.LinkRate, n)
+		q.rebEvery = paceRebalanceEvery
 		q.sentBuf = make([]int64, n)
 		q.backBuf = make([]int64, n)
 	}
@@ -383,15 +376,15 @@ func (q *PacedQueue) route(p *Packet) (*shard, DropReason) {
 	return nil, r
 }
 
-// intakeRings lazily builds the rings so IntakeShards/IntakeDepth set
-// after construction still apply. Read-only paths (Stats, syncMetrics)
+// intakeRings lazily builds the rings so an IntakeDepth set after
+// construction still applies. Read-only paths (Stats, syncMetrics)
 // load sh.rings directly instead, so a shard that never carried traffic
 // never allocates its rings.
 func (sh *shard) intakeRings() *intake.Queue {
 	if r := sh.rings.Load(); r != nil {
 		return r
 	}
-	r := intake.New(sh.q.IntakeShards, sh.q.IntakeDepth)
+	r := intake.New(0, sh.q.IntakeDepth)
 	if sh.rings.CompareAndSwap(nil, r) {
 		return r
 	}
@@ -399,8 +392,7 @@ func (sh *shard) intakeRings() *intake.Queue {
 }
 
 // Start computes the initial rate slices and launches every shard's
-// pacing goroutine and, with several shards and rebalancing on, the
-// rebalancer.
+// pacing goroutine and, with several shards, the rebalancer.
 func (q *PacedQueue) Start() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -418,7 +410,7 @@ func (q *PacedQueue) Start() {
 		sh.done.Add(1)
 		go sh.loop()
 	}
-	if q.rebal != nil && q.rebEvery > 0 {
+	if q.rebal != nil {
 		q.rebDone.Add(1)
 		go q.rebalanceLoop()
 	}
@@ -545,62 +537,6 @@ func (q *PacedQueue) kick(touched uint64) {
 	}
 }
 
-// submitCtxBackoff bounds the retry backoff of SubmitCtx: start at 50µs
-// (about one pacing pass) and double to at most 5ms, so a briefly full
-// ring is retried promptly while sustained overload doesn't spin.
-const (
-	submitCtxBackoffMin = 50 * time.Microsecond
-	submitCtxBackoffMax = 5 * time.Millisecond
-)
-
-// SubmitCtx is Submit for producers that would rather wait than shed:
-// when the packet's intake ring is full it blocks with exponential
-// backoff (50µs doubling to 5ms) and retries until the packet is
-// accepted, the queue stops, or ctx is done — returning DropNone,
-// DropStopped or DropCanceled respectively. Invalid packets and ids are
-// refused at once, as by Submit. The packet stays owned by the caller
-// unless DropNone is returned. Each full-ring retry round is counted as an
-// intake-full refusal in the stats (the pressure was real even when a
-// later retry succeeds).
-func (q *PacedQueue) SubmitCtx(ctx context.Context, p *Packet) DropReason {
-	if _, r := q.route(p); r != DropNone {
-		return r
-	}
-	if err := ctx.Err(); err != nil {
-		q.dropCanceled.Add(1)
-		return DropCanceled
-	}
-	backoff := submitCtxBackoffMin
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
-	for {
-		if r := q.Submit(p); r != DropIntakeFull {
-			return r
-		}
-		if timer == nil {
-			timer = time.NewTimer(backoff)
-		} else {
-			timer.Reset(backoff)
-		}
-		select {
-		case <-ctx.Done():
-			q.dropCanceled.Add(1)
-			return DropCanceled
-		case <-q.stop:
-			q.dropStopped.Add(1)
-			return DropStopped
-		case <-timer.C:
-		}
-		if backoff *= 2; backoff > submitCtxBackoffMax {
-			backoff = submitCtxBackoffMax
-		}
-	}
-}
-
 // correction is one queued Correct call.
 type correction struct {
 	class     int
@@ -701,9 +637,6 @@ type PacedStats struct {
 	// ring was full; DropsStopped counts Submits after Stop.
 	DropsIntakeFull uint64
 	DropsStopped    uint64
-	// DropsCanceled counts SubmitCtx calls abandoned because the caller's
-	// context was done while blocked for intake admission.
-	DropsCanceled uint64
 	// IntakeBacklog is the number of packets currently buffered in the
 	// intake rings (approximate while producers are active).
 	IntakeBacklog int
@@ -716,14 +649,14 @@ type PacedStats struct {
 	Rate           uint64
 	GuaranteedRate uint64
 	// Shards is the per-shard breakdown of a multi-shard queue, nil with
-	// one shard. DropsStopped and DropsCanceled are counted per queue and
-	// are zero in the shard entries.
+	// one shard. DropsStopped is counted per queue and is zero in the
+	// shard entries.
 	Shards []PacedStats
 }
 
 // Drops returns the total packets refused at intake, all reasons.
 func (st PacedStats) Drops() uint64 {
-	return st.DropsIntakeFull + st.DropsStopped + st.DropsCanceled
+	return st.DropsIntakeFull + st.DropsStopped
 }
 
 // Stats snapshots the driver counters. Safe from any goroutine; the hot
@@ -731,10 +664,7 @@ func (st PacedStats) Drops() uint64 {
 // (no Submit, no Start) it returns zero-valued counters without building
 // the intake rings.
 func (q *PacedQueue) Stats() PacedStats {
-	st := PacedStats{
-		DropsStopped:  q.dropStopped.Load(),
-		DropsCanceled: q.dropCanceled.Load(),
-	}
+	st := PacedStats{DropsStopped: q.dropStopped.Load()}
 	if len(q.shards) > 1 {
 		st.Shards = make([]PacedStats, len(q.shards))
 	}
@@ -774,15 +704,14 @@ func (sh *shard) syncMetrics() {
 	if agg == nil {
 		return
 	}
-	var full, stopped, canceled uint64
+	var full, stopped uint64
 	if r := sh.rings.Load(); r != nil {
 		full = r.Drops()
 	}
 	if sh.idx == 0 {
-		stopped, canceled = sh.q.dropStopped.Load(), sh.q.dropCanceled.Load()
+		stopped = sh.q.dropStopped.Load()
 	}
 	agg.RecordIntake(full, stopped, Now(time.Now()))
-	agg.RecordCanceled(canceled, Now(time.Now()))
 	sh.s.syncFlight()
 }
 
@@ -994,17 +923,16 @@ func (sh *shard) loop() {
 		// Read the cost (and span/flight identity) before Transmit:
 		// ownership passes with the call, and a pooled packet may be
 		// Released (and reused) inside the callback. The transmit stamp is
-		// pass-granular: the pass's one clock read, not a fresh time.Now()
-		// per burst.
+		// pass-granular: the pass's one clock read, the same one the
+		// dequeue was stamped with.
 		var total int64
-		txNs := nowNs
 		for _, p := range burst {
 			total += p.Work()
 			if p.SubmitAt != 0 {
-				sh.observeSpan(p, nowNs, txNs)
+				sh.observeSpan(p, nowNs)
 			}
 			if s.rec != nil {
-				s.stage.Trace(core.EvTransmit, s.core.ClassByID(p.Class), p, txNs, txNs-nowNs)
+				s.stage.Trace(core.EvTransmit, s.core.ClassByID(p.Class), p, nowNs, 0)
 			}
 		}
 		// The pass's one publish: inside Transmit, Snapshot and the flight
@@ -1037,16 +965,16 @@ func (sh *shard) loop() {
 
 // observeSpan folds one sampled packet's lifecycle into the aggregator's
 // latency decomposition and clears the stamp before ownership passes to
-// Transmit: intake wait (submit → intake drain, the Arrival stamp), queue
-// delay (enqueue → dequeue, including pacing-induced waiting), pacing
-// delay (dequeue → hand-off within the burst).
-func (sh *shard) observeSpan(p *Packet, nowNs, txNs int64) {
+// Transmit: intake wait (submit → intake drain, the Arrival stamp) and
+// queue delay (enqueue → dequeue and transmit at nowNs, including
+// pacing-induced waiting).
+func (sh *shard) observeSpan(p *Packet, nowNs int64) {
 	submitAt := p.SubmitAt
 	p.SubmitAt = 0
 	if sh.s.agg == nil {
 		return
 	}
-	sh.s.agg.ObserveSpan(p.Arrival-submitAt, nowNs-p.Arrival, txNs-nowNs, txNs)
+	sh.s.agg.ObserveSpan(p.Arrival-submitAt, nowNs-p.Arrival, nowNs)
 }
 
 // Inspect runs fn with exclusive access to each shard's Scheduler in turn
@@ -1344,15 +1272,6 @@ func (q *PacedQueue) SubmitTo(name string, p *Packet) DropReason {
 	}
 	p.Class = id
 	return q.Submit(p)
-}
-
-// Rebalance runs one rebalancing pass immediately (the rebalancer
-// goroutine does this on its own period; exposed for tests and for
-// drivers running with RebalanceEvery < 0). A no-op with one shard.
-func (q *PacedQueue) Rebalance() {
-	if q.rebal != nil {
-		q.rebalance(Now(time.Now()))
-	}
 }
 
 func (q *PacedQueue) rebalanceLoop() {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	hfsc "github.com/netsched/hfsc"
+	"github.com/netsched/hfsc/internal/intake"
 )
 
 // The paced queue must (a) deliver everything, (b) honour the line rate
@@ -138,7 +139,6 @@ func TestPacedQueueIntakeOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.IntakeShards = 1
 	q.IntakeDepth = 8
 
 	for i := 0; i < 8; i++ {
@@ -158,8 +158,8 @@ func TestPacedQueueIntakeOverflow(t *testing.T) {
 	if st.IntakeBacklog != 8 {
 		t.Fatalf("IntakeBacklog = %d, want 8", st.IntakeBacklog)
 	}
-	if len(st.ShardHighWater) != 1 {
-		t.Fatalf("ShardHighWater has %d shards, want 1", len(st.ShardHighWater))
+	if len(st.ShardHighWater) != intake.DefaultShards() {
+		t.Fatalf("ShardHighWater has %d rings, want %d", len(st.ShardHighWater), intake.DefaultShards())
 	}
 
 	// The bugfix under test: intake drops must reach the metrics pipeline.
@@ -227,9 +227,8 @@ func TestPacedQueueConservation(t *testing.T) {
 			got := make(map[int]uint64, producers)
 			reordered := false
 			q := newTestQueue(t, hfsc.MultiConfig{
-				Config:         hfsc.Config{LinkRate: line},
-				Shards:         shards,
-				RebalanceEvery: 2 * time.Millisecond,
+				Config: hfsc.Config{LinkRate: line},
+				Shards: shards,
 			}, func(p *hfsc.Packet) {
 				mu.Lock()
 				last, ok := lastSeq[p.Class]
@@ -241,7 +240,7 @@ func TestPacedQueueConservation(t *testing.T) {
 				mu.Unlock()
 				p.Release()
 			})
-			q.IntakeShards = 2
+			hfsc.SetRebalanceEvery(q, 2*time.Millisecond)
 			q.IntakeDepth = 64 // small rings so overflow drops actually happen
 			classes := make([]int, producers)
 			shardUsed := map[int]bool{}

@@ -26,9 +26,9 @@ type sinks struct {
 
 func newSinks(link uint64) sinks {
 	return sinks{
-		agg: metrics.NewAggregator(metrics.Options{}),
+		agg: metrics.NewAggregator(),
 		rec: flight.New(1 << 17),
-		aud: audit.New(audit.Options{LinkRate: link}),
+		aud: audit.New(link),
 	}
 }
 
