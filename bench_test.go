@@ -502,7 +502,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	})
 	t.Run("metrics-enabled", func(t *testing.T) {
 		// The aggregator itself must not break the guarantee: histograms,
-		// EWMAs and timestamp rings all work in place once warm.
+		// EWMAs and per-class state all work in place once warm.
 		s, ids := buildFlatTraced(t, 256)
 		now := int64(0)
 		for i, id := range ids {

@@ -14,7 +14,8 @@ import (
 // scheduler only ever sees one clock and that it never runs backwards
 // (time may stand still: equal timestamps are fine). Packet.Arrival,
 // Packet.Deadline and every duration-valued metric (deadline slack,
-// queueing delay) live on the same clock.
+// queueing delay) live on the same clock. Enqueue and Offer stamp their
+// now into a zero Packet.Arrival, and queueing delay is measured from it.
 //
 // Real-time drivers should use Now and At to convert to and from
 // time.Time instead of hand-rolling UnixNano arithmetic; the pair fixes
@@ -29,13 +30,14 @@ func Now(t time.Time) int64 { return t.UnixNano() }
 // coarseClock is a shared monotone nanosecond clock, published by the
 // pacing goroutine(s) and read by producers. Each pacing pass makes one
 // time.Now() call and advances the clock with it; everything else in the
-// hot path — span stamps on Submit, arrival stamps at intake drain,
-// transmit stamps — reads the cached value instead of taking its own
-// vDSO round trip. The cost is granularity (stamps quantize to pacing
-// passes, microseconds under load), never monotonicity: advance is a
-// CAS-max, so with several pacing goroutines racing on one clock
-// (MultiQueue shares one across shards) the published value only moves
-// forward even when their time.Now() reads arrive out of order.
+// hot path — span stamps on Submit, the enqueue clock at intake drain
+// (the packet's Arrival unless the submitter set one), transmit stamps —
+// reads the cached value instead of taking its own vDSO round trip. The
+// cost is granularity (stamps quantize to pacing passes, microseconds
+// under load), never monotonicity: advance is a CAS-max, so with several
+// pacing goroutines racing on one clock (MultiQueue shares one across
+// shards) the published value only moves forward even when their
+// time.Now() reads arrive out of order.
 type coarseClock struct {
 	ns atomic.Int64
 }

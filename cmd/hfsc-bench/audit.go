@@ -116,7 +116,7 @@ func measureAuditSnapshot(n, ops int) float64 {
 		if p == nil {
 			panic("scheduler idled during audit-snapshot warmup")
 		}
-		p.Crit = 0
+		p.Crit, p.Arrival = 0, 0
 		s.Enqueue(p, now)
 	}
 	rounds := ops / (n/4 + 1)

@@ -44,7 +44,7 @@ func measureBackend(kind hfsc.BackendKind, n, ops int) (served string, nsPerPkt,
 		if p == nil {
 			panic("backend idled during warmup")
 		}
-		p.Crit = 0
+		p.Crit, p.Arrival = 0, 0
 		s.Offer(p, now)
 	}
 	nsPerPkt, allocsPerPkt = clock(ops, func(int) {
@@ -53,7 +53,7 @@ func measureBackend(kind hfsc.BackendKind, n, ops int) (served string, nsPerPkt,
 		if p == nil {
 			panic("backend idled unexpectedly")
 		}
-		p.Crit = 0
+		p.Crit, p.Arrival = 0, 0
 		s.Offer(p, now)
 	})
 	return s.Backend(), nsPerPkt, allocsPerPkt

@@ -99,7 +99,7 @@ func measureSteadyIdle(total, active, ops int) (nsPerPkt, allocsPerPkt float64) 
 		if p == nil {
 			panic("scheduler idled during warmup")
 		}
-		p.Crit = 0
+		p.Crit, p.Arrival = 0, 0
 		s.Enqueue(p, now)
 	}
 	return clock(ops, func(int) {
@@ -108,7 +108,7 @@ func measureSteadyIdle(total, active, ops int) (nsPerPkt, allocsPerPkt float64) 
 		if p == nil {
 			panic("scheduler idled unexpectedly")
 		}
-		p.Crit = 0
+		p.Crit, p.Arrival = 0, 0
 		s.Enqueue(p, now)
 	})
 }

@@ -473,7 +473,7 @@ func measure(s *core.Scheduler, ops int) (nsPerPkt, allocsPerPkt float64) {
 		if p == nil {
 			panic("scheduler idled during warmup")
 		}
-		p.Crit = 0
+		p.Crit, p.Arrival = 0, 0
 		s.Enqueue(p, now)
 	}
 	return clock(ops, func(int) {
@@ -482,7 +482,7 @@ func measure(s *core.Scheduler, ops int) (nsPerPkt, allocsPerPkt float64) {
 		if p == nil {
 			panic("scheduler idled unexpectedly")
 		}
-		p.Crit = 0
+		p.Crit, p.Arrival = 0, 0
 		s.Enqueue(p, now)
 	})
 }
@@ -504,7 +504,7 @@ func measureBatch(s *core.Scheduler, ops, burst int) (nsPerPkt, allocsPerPkt flo
 			panic("scheduler idled unexpectedly")
 		}
 		for _, p := range out {
-			p.Crit = 0
+			p.Crit, p.Arrival = 0, 0
 			s.Enqueue(p, now)
 		}
 	})
@@ -542,7 +542,7 @@ func measureDeferred(n, ops int) (nsPerPkt, allocsPerPkt float64) {
 		if p == nil || p.Class != open.ID() {
 			panic("deferred workload served the wrong class")
 		}
-		p.Crit = 0
+		p.Crit, p.Arrival = 0, 0
 		s.Enqueue(p, now)
 	})
 }
@@ -864,7 +864,7 @@ func measureRequestBare(n, ops int) (nsPerReq, allocsPerReq float64) {
 		if p == nil {
 			panic("request-bare idled during warmup")
 		}
-		p.Crit = 0
+		p.Crit, p.Arrival = 0, 0
 		s.Enqueue(p, now)
 	}
 	return clock(ops, func(i int) {
@@ -875,7 +875,7 @@ func measureRequestBare(n, ops int) (nsPerReq, allocsPerReq float64) {
 		}
 		actual := est + est/5 - int64(i%2)*(2*est/5) // ±20% estimation error
 		s.Correct(s.ClassByID(p.Class), est, actual, p.Crit, now)
-		p.Crit = 0
+		p.Crit, p.Arrival = 0, 0
 		s.Enqueue(p, now)
 	})
 }

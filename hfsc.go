@@ -75,8 +75,10 @@ const (
 )
 
 // Packet is the unit of scheduling — one work item. Set Len (or Cost, for
-// non-packet work), Class (a leaf class ID) and Arrival before enqueueing;
-// the scheduler fills Deadline and Crit on dequeue. The quantity charged
+// non-packet work) and Class (a leaf class ID) before enqueueing. Arrival
+// may be set too; an enqueue that finds it zero stamps its own clock
+// there, so queueing-delay metrics run from Arrival either way. The
+// scheduler fills Deadline and Crit on dequeue. The quantity charged
 // against the service curves is Packet.Work: the explicit Cost when set,
 // else the wire length Len — so packet datapaths are unchanged while
 // request datapaths schedule estimated costs and reconcile at completion

@@ -12,14 +12,16 @@
 //
 //	deadline(w) = b + RSC⁻¹(w)
 //
-// so each enqueue pushes one fluid deadline and each dequeue pops and
-// checks it. Because the deadline follows the *actual* cumulative
-// arrivals, the check is arrival-aware: a sender that bursts beyond its
-// curve stretches its own deadlines instead of producing false scheduler
-// blame. This per-busy-period anchoring is conservative with respect to
-// the paper's exact deadline-curve update (which takes the min with the
-// previous period's curve and can only make deadlines earlier), so a
-// conforming run never produces false violations.
+// Service is FIFO within a class, so the packet that brings the work
+// dequeued in the busy period to w is owed by deadline(w): each dequeue is
+// checked against a pure function of one per-class counter, and the
+// auditor keeps no per-packet state. Because the deadline follows the
+// *actual* cumulative arrivals, the check is arrival-aware: a sender that
+// bursts beyond its curve stretches its own deadlines instead of producing
+// false scheduler blame. This per-busy-period anchoring is conservative
+// with respect to the paper's exact deadline-curve update (which takes the
+// min with the previous period's curve and can only make deadlines
+// earlier), so a conforming run never produces false violations.
 //
 // Verdicts are attributed: a missed guarantee is tagged as non-conforming
 // arrivals (the sender exceeded its curve, so nothing was owed),
@@ -28,9 +30,9 @@
 // explains it — genuine scheduler lateness.
 //
 // Like the flight recorder, the auditor is built to stay attached in
-// production: one mutex taken once per staged batch, O(1) amortized per
-// event, and zero allocations in steady state (per-class state, deadline
-// rings and window slots are allocated once and reused).
+// production: one mutex taken once per staged batch, O(1) per event, and
+// zero allocations in steady state (per-class state and window slots are
+// allocated once and reused; memory does not grow with the backlog).
 package audit
 
 import (
@@ -146,51 +148,6 @@ type marginSlot struct {
 	min int64
 }
 
-// ring is a grow-only FIFO of int64 (fluid deadlines). Steady state is
-// allocation-free once it has grown to the peak queue length; the buffer
-// is a power of two so wraparound is a mask.
-type ring struct {
-	buf   []int64
-	head  int
-	count int
-}
-
-func (r *ring) push(v int64) {
-	if r.count == len(r.buf) {
-		n := len(r.buf) * 2
-		if n == 0 {
-			n = 8
-		}
-		nb := make([]int64, n)
-		for i := 0; i < r.count; i++ {
-			nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-		}
-		r.buf = nb
-		r.head = 0
-	}
-	r.buf[(r.head+r.count)&(len(r.buf)-1)] = v
-	r.count++
-}
-
-func (r *ring) pop() (int64, bool) {
-	if r.count == 0 {
-		return 0, false
-	}
-	v := r.buf[r.head]
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.count--
-	return v, true
-}
-
-func (r *ring) peek() (int64, bool) {
-	if r.count == 0 {
-		return 0, false
-	}
-	return r.buf[r.head], true
-}
-
-func (r *ring) reset() { r.head, r.count = 0, 0 }
-
 // classAudit is the per-class auditor state.
 type classAudit struct {
 	id   int
@@ -216,18 +173,17 @@ type classAudit struct {
 	tailRate int64
 	infDt    int64
 
-	// Busy-period state, re-anchored at every empty→backlogged edge.
+	// Busy-period state, anchored at every empty→backlogged edge and
+	// re-anchored when a retuned curve is first seen (startPeriod). The
+	// class is empty once dequeued reaches arrived.
 	busy          bool
 	anchor        int64
-	arrived       int64 // cumulative work since anchor
-	served        int64 // cumulative work served since anchor
-	qpkts         int64
+	arrived       int64  // cumulative work enqueued since anchor
+	dequeued      int64  // cumulative work dequeued since anchor
 	nonConforming bool   // arrivals exceeded the envelope this busy period
 	corrAtAnchor  uint64 // corrections total when the period started
 	defAtAnchor   uint64 // auditor-global ulimit defers when it started
 	stallCounted  bool   // the backlog head was already flagged by Tick
-
-	deadlines ring // fluid deadline of each queued packet, FIFO
 
 	// burstAllow is the instantaneous burst (bytes) arrivals may exceed
 	// the fluid envelope by before the period is marked non-conforming.
@@ -334,12 +290,13 @@ func (a *Auditor) state(cl *core.Class) *classAudit {
 }
 
 // refreshCurve recompiles the class's guaranteed curve if it changed
-// (first sight, or a live SetCurves retune). Compiling allocates, so it
-// only happens on change — never per event in steady state.
-func (st *classAudit) refreshCurve(cl *core.Class) {
+// (first sight, or a live SetCurves retune) and reports whether it did.
+// Compiling allocates, so it only happens on change — never per event in
+// steady state.
+func (st *classAudit) refreshCurve(cl *core.Class) bool {
 	sc := cl.RSC()
 	if sc == st.rscSC && (st.hasRT || sc.IsZero()) {
-		return
+		return false
 	}
 	st.rscSC = sc
 	st.hasRT = !sc.IsZero()
@@ -358,6 +315,7 @@ func (st *classAudit) refreshCurve(cl *core.Class) {
 	} else {
 		st.infDt = curve.Inf
 	}
+	return true
 }
 
 // maxTailDY bounds the fast-path offset past the knee: dy*NsPerSec must
@@ -451,9 +409,7 @@ func (a *Auditor) apply(r *core.Record) {
 	}
 	switch r.Ev {
 	case core.EvEnqueue:
-		st := a.state(cl)
-		st.refreshCurve(cl)
-		a.enqueue(st, r.Work, now)
+		a.enqueue(a.state(cl), cl, r.Work, now)
 	case core.EvDrop:
 		st := a.state(cl)
 		st.checks++
@@ -466,105 +422,96 @@ func (a *Auditor) apply(r *core.Record) {
 	case core.EvUlimitDefer:
 		a.ulimitDefers++
 	case core.EvCorrect:
-		st := a.state(cl)
-		st.corrs++
-		// The correction re-charges service the deadlines were not
-		// computed from; fold it into the busy period's served work so
-		// the cumulative accounting stays truthful.
-		if st.busy {
-			if st.served += r.Aux; st.served < 0 {
-				st.served = 0
-			}
-		}
+		// A correction moves no fluid deadline; attribution reads the count.
+		a.state(cl).corrs++
 	}
 }
 
-// enqueue anchors busy periods, checks arrival conformance against the
-// curve's envelope, and pushes the packet's fluid deadline.
-func (a *Auditor) enqueue(st *classAudit, w, now int64) {
+// startPeriod anchors a busy period at now whose arrivals so far are the
+// queued work.
+func (a *Auditor) startPeriod(st *classAudit, now, queued int64) {
+	st.busy = true
+	st.anchor = now
+	st.arrived = queued
+	st.dequeued = 0
+	st.nonConforming = false
+	st.corrAtAnchor = st.corrs
+	st.defAtAnchor = a.ulimitDefers
+}
+
+// enqueue anchors busy periods and checks arrival conformance against the
+// curve's envelope. The first enqueue after a live retune re-anchors a
+// busy period at its own clock, with the work still queued as the new
+// period's arrivals: the core likewise restarts the class's deadline
+// curve at the retune, and the new curve owes nothing for the old
+// anchor's past.
+func (a *Auditor) enqueue(st *classAudit, cl *core.Class, w, now int64) {
+	retuned := st.refreshCurve(cl)
 	if !st.busy {
-		st.busy = true
-		st.anchor = now
-		st.arrived = 0
-		st.served = 0
-		st.nonConforming = false
-		st.stallCounted = false
-		st.corrAtAnchor = st.corrs
-		st.defAtAnchor = a.ulimitDefers
-		st.deadlines.reset()
+		a.startPeriod(st, now, 0)
+	} else if retuned {
+		a.startPeriod(st, now, st.arrived-st.dequeued)
 	}
-	st.qpkts++
 	st.arrived += w
 	a.observeWork(st, w)
-	if !st.hasRT {
-		return
-	}
-	if !st.nonConforming && st.overEnvelope(now-st.anchor) {
+	if st.hasRT && !st.nonConforming && st.overEnvelope(now-st.anchor) {
 		st.nonConforming = true
 		st.badStart++
 	}
-	st.deadlines.push(fixpt.SatAdd(st.anchor, st.deadlineRel(st.arrived)))
 }
 
-// dequeue pops the packet's fluid deadline, samples the conformance
-// margin, and counts + attributes a violation when the guarantee was
-// missed.
+// dequeue checks a departure against the fluid deadline of the cumulative
+// work it completes (service is FIFO within a class), samples the
+// conformance margin, and counts + attributes a violation when the
+// guarantee was missed. A departure outside a busy period — its enqueue
+// was never seen — is not checked.
 func (a *Auditor) dequeue(st *classAudit, work, arrival, now int64) {
-	if st.qpkts > 0 {
-		st.qpkts--
+	if !st.busy {
+		return
 	}
-	// Work was already observed when this packet was enqueued, so the
-	// dequeue side only has to move the served account.
-	st.served += work
 	counted := st.stallCounted
 	st.stallCounted = false
-	emptied := st.qpkts == 0
+	st.dequeued += work
 	if st.hasRT {
-		if dl, ok := st.deadlines.pop(); ok {
-			sec := now / int64(time.Second)
-			margin := dl + a.allow() - now
-			st.sampleMargin(sec, margin)
-			var delay int64
-			if arrival > 0 && now > arrival {
-				delay = now - arrival
-				if delay > st.delayMaxNs {
-					st.delayMaxNs = delay
+		sec := now / int64(time.Second)
+		margin := fixpt.SatAdd(st.anchor, st.deadlineRel(st.dequeued)) + a.allow() - now
+		st.sampleMargin(sec, margin)
+		delay := max(now-arrival, 0)
+		if delay > st.delayMaxNs {
+			st.delayMaxNs = delay
+		}
+		// A packet Tick already flagged as stalled was checked (and its
+		// violation counted) there; don't check it twice.
+		if !counted {
+			late := -margin
+			viol := late > 0
+			// Per-packet delay versus the fluid-SCED delay bound: only a
+			// sender inside its envelope is owed the bound, so an
+			// over-bound delay with conforming arrivals and a met
+			// deadline is impossible; with non-conforming arrivals it is
+			// burn the sender caused.
+			if !viol && st.nonConforming && delay > 0 {
+				if bound := st.delayBound(a); bound < curve.Inf-tolerance && delay > bound+tolerance {
+					viol = true
 				}
 			}
-			// A packet Tick already flagged as stalled was checked (and
-			// its violation counted) there; don't check it twice.
-			if !counted {
-				late := -margin
-				viol := late > 0
-				// Per-packet delay versus the fluid-SCED delay bound:
-				// only a sender inside its envelope is owed the bound, so
-				// an over-bound delay with conforming arrivals and a met
-				// deadline is impossible; with non-conforming arrivals it
-				// is burn the sender caused.
-				if !viol && st.nonConforming && delay > 0 {
-					if bound := st.delayBound(a); bound < curve.Inf-tolerance && delay > bound+tolerance {
-						viol = true
+			st.checks++
+			if viol {
+				cause := st.attribute(a)
+				st.viols[cause]++
+				if cause == CauseSchedulerLate || cause == CauseUlimitDefer {
+					if late > st.worstLateNs {
+						st.worstLateNs = late
 					}
 				}
-				st.checks++
-				if viol {
-					cause := st.attribute(a)
-					st.viols[cause]++
-					if cause == CauseSchedulerLate || cause == CauseUlimitDefer {
-						if late > st.worstLateNs {
-							st.worstLateNs = late
-						}
-					}
-					st.record(sec, true)
-				} else {
-					st.record(sec, false)
-				}
+				st.record(sec, true)
+			} else {
+				st.record(sec, false)
 			}
 		}
 	}
-	if emptied {
+	if st.dequeued >= st.arrived {
 		st.busy = false
-		st.deadlines.reset()
 	}
 }
 
@@ -652,11 +599,12 @@ func (a *Auditor) Tick(now int64) {
 		if st == nil || !st.busy || !st.hasRT {
 			continue
 		}
-		dl, ok := st.deadlines.peek()
-		if !ok {
-			continue
-		}
-		margin := dl + allow - now
+		// The head's cumulative work is at most one largest unit past the
+		// work dequeued, so its probed deadline is never earlier than its
+		// own — a stall is never flagged early — and exact when the class's
+		// units are all one size.
+		head := min(st.arrived, st.dequeued+st.maxWork)
+		margin := fixpt.SatAdd(st.anchor, st.deadlineRel(head)) + allow - now
 		st.sampleMargin(sec, margin)
 		if margin < 0 && !st.stallCounted {
 			st.stallCounted = true

@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -323,7 +324,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	s, cl := harness(t, curve.Linear(1_000_000), a)
 	now := int64(0)
 	step := 1500 * msec / 1000
-	// Warm up: grow the deadline ring and per-class state.
+	// Warm up: create the per-class state and compile the curve.
 	for i := 0; i < 64; i++ {
 		s.Enqueue(&pktq.Packet{Len: 1500, Class: cl.ID(), Arrival: now}, now)
 		s.Dequeue(now)
@@ -338,5 +339,81 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Trace allocates %v per enqueue+dequeue, want 0", allocs)
+	}
+}
+
+// TestDelayMaxCountsArrivalAtZero: clock 0 is a real arrival time, so a
+// packet enqueued there and served 5 ms later has a 5 ms delay, exactly as
+// it would one nanosecond later.
+func TestDelayMaxCountsArrivalAtZero(t *testing.T) {
+	for _, at := range []int64{0, 1} {
+		a := New(1_000_000)
+		s, cl := harness(t, curve.Linear(1_000_000), a)
+		s.Enqueue(&pktq.Packet{Len: 1500, Class: cl.ID()}, at)
+		s.Dequeue(at + 5*msec)
+		if c, _ := a.ClassSnapshot(cl.ID()); c.DelayMaxNs != 5*msec {
+			t.Fatalf("arrival at %d: DelayMaxNs = %d, want %d", at, c.DelayMaxNs, 5*msec)
+		}
+	}
+}
+
+// TestRetuneReanchorsBusyPeriod pins the rule for a curve retuned while
+// the class is backlogged: the first enqueue that sees the new curve
+// re-anchors the busy period at its own clock, with the work still queued
+// as the new period's arrivals, so queued packets are owed by the new
+// curve from that instant on.
+func TestRetuneReanchorsBusyPeriod(t *testing.T) {
+	a := New(10_000_000) // 1000 B of transmission slack: 100 µs
+	s, cl := harness(t, curve.Linear(1_000_000), a)
+	a.SetBurst(cl.ID(), 3000)
+	for i := 0; i < 3; i++ {
+		s.Enqueue(&pktq.Packet{Len: 1000, Class: cl.ID()}, 0)
+	}
+	s.Dequeue(msec / 2)
+	if err := s.SetCurves(cl, curve.Linear(100_000), curve.Linear(1000), curve.SC{}, msec); err != nil {
+		t.Fatalf("SetCurves: %v", err)
+	}
+	// Re-anchored at 2 ms with 2000 B queued plus this 1000 B: the next
+	// head is owed 1000 B into the new period, 2 ms + 10 ms.
+	s.Enqueue(&pktq.Packet{Len: 1000, Class: cl.ID()}, 2*msec)
+	s.Dequeue(15 * msec)
+	c, _ := a.ClassSnapshot(cl.ID())
+	if want := 12*msec + a.allow() - 15*msec; c.MinMarginEverNs != want {
+		t.Fatalf("margin after the retune = %d, want %d (deadline 12 ms)", c.MinMarginEverNs, want)
+	}
+	if c.NonConformingPeriods != 0 || c.ViolationsByCause[CauseSchedulerLate] != 1 {
+		t.Fatalf("re-anchored period: %d non-conforming, violations %v; want 0 and one scheduler-late",
+			c.NonConformingPeriods, c.ViolationsByCause)
+	}
+}
+
+// TestDeadlineRelMatchesInverse: past the knee, deadlineRel's one
+// multiply and divide must be bit-exact with the curve's general Inverse
+// everywhere it takes the fast path, as every check and stall probe
+// relies on.
+func TestDeadlineRelMatchesInverse(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	s, cl := harness(t, curve.Linear(1), New(0))
+	st := &classAudit{}
+	for i := 0; i < 4000; i++ {
+		sc := curve.SC{M1: uint64(rng.Int63n(1 << 34)), D: rng.Int63n(int64(time.Second)), M2: 1 + uint64(rng.Int63n(1<<34))}
+		switch i % 4 {
+		case 1:
+			sc.M1 = 0
+		case 2:
+			sc.D = 0
+		}
+		if err := s.SetCurves(cl, sc, curve.Linear(1000), curve.SC{}, 0); err != nil {
+			t.Fatalf("SetCurves %v: %v", sc, err)
+		}
+		st.refreshCurve(cl)
+		for j := 0; j < 32; j++ {
+			// Log-uniform offsets past the knee, up to the fast path's edge.
+			dy := 1 + rng.Int63n(min(int64(1)<<rng.Intn(63), maxTailDY-1))
+			y := st.kneeY + dy
+			if got, want := st.deadlineRel(y), st.rsc.Inverse(y); got != want {
+				t.Fatalf("%v: deadlineRel(%d) = %d, Inverse = %d", sc, y, got, want)
+			}
+		}
 	}
 }

@@ -215,6 +215,9 @@ func (s *Scheduler) Enqueue(p *pktq.Packet, now int64) bool {
 		s.trace(EvDrop, cl, p, now, int64(DropQueueLimit))
 		return false
 	}
+	if p.Arrival == 0 {
+		p.Arrival = now
+	}
 	s.trace(EvEnqueue, cl, p, now, 0)
 	s.backlog++
 	if first {

@@ -1,6 +1,10 @@
 package curve
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/netsched/hfsc/internal/fixpt"
+)
 
 // FuzzRTSCMin drives the runtime-curve min-update with arbitrary
 // parameters and asserts the structural safety properties: no panic, the
@@ -50,6 +54,49 @@ func FuzzRTSCMin(f *testing.F) {
 		y := r.Y + 1
 		if xx := r.Y2X(y); xx != Inf && r.X2Y(xx) < y {
 			t.Fatalf("inverse inconsistent: X2Y(Y2X(%d))=%d", y, r.X2Y(xx))
+		}
+	})
+}
+
+// FuzzCurveInverse checks Inverse against Eval on arbitrary curves: the
+// returned x reaches y (Eval(x) >= y), nothing earlier does
+// (Eval(x-1) < y) unless Inverse reports Inf, and past Tail's knee Eval is
+// the single final linear piece. Online deadline checks rely on all three
+// (the auditor's per-packet fluid deadlines and its tail fast path).
+func FuzzCurveInverse(f *testing.F) {
+	f.Add(uint64(125000), int64(10_000_000), uint64(62500), uint64(0), int64(0), uint64(0), int64(1500), int64(3_000_000))
+	f.Add(uint64(0), int64(5_000_000), uint64(1_000_000), uint64(0), int64(0), uint64(0), int64(1), int64(1))
+	f.Add(uint64(1<<33), int64(1), uint64(3), uint64(7), int64(999_999_999), uint64(1<<20), int64(1<<40), int64(1<<30))
+	f.Add(uint64(1), int64(1), uint64(1), uint64(0), int64(0), uint64(0), int64(1<<62), int64(1<<62))
+	f.Fuzz(func(t *testing.T, m1 uint64, d int64, m2, n1 uint64, e int64, n2 uint64, y, dx int64) {
+		norm := func(v, mod int64) int64 {
+			if v < 0 {
+				v = -(v + 1)
+			}
+			return v % mod
+		}
+		c := FromSC(SC{M1: m1 % (1 << 34), D: norm(d, 1_000_000_000_000), M2: m2 % (1 << 34)})
+		if n1 != 0 || n2 != 0 {
+			// A second curve summed in gives up to four pieces.
+			c = c.Add(FromSC(SC{M1: n1 % (1 << 34), D: norm(e, 1_000_000_000_000), M2: n2 % (1 << 34)}))
+		}
+		y = norm(y, Inf) + 1
+		x := c.Inverse(y)
+		if x != Inf {
+			if got := c.Eval(x); got < y {
+				t.Fatalf("%v: Eval(Inverse(%d)=%d) = %d < y", c, y, x, got)
+			}
+			if x > 0 {
+				if got := c.Eval(x - 1); got >= y {
+					t.Fatalf("%v: Inverse(%d) = %d not minimal: Eval(%d) = %d", c, y, x, x-1, got)
+				}
+			}
+		}
+		kx, ky, m := c.Tail()
+		for _, px := range []int64{kx, fixpt.SatAdd(kx, norm(dx, Inf))} {
+			if got, want := c.Eval(px), fixpt.SatAdd(ky, segX2Y(px-kx, m)); got != want {
+				t.Fatalf("%v: past the knee (%d, %d) Eval(%d) = %d, final piece gives %d", c, kx, ky, px, got, want)
+			}
 		}
 	})
 }

@@ -187,42 +187,6 @@ func (e *EWMA) Rate(now int64) float64 {
 	return r
 }
 
-// ring is a grow-only FIFO of int64 (enqueue timestamps). Steady state is
-// allocation-free once it has grown to the peak queue length. The buffer
-// is always a power of two so the wraparound is a mask, not a division.
-type ring struct {
-	buf   []int64
-	head  int
-	count int
-}
-
-func (r *ring) push(v int64) {
-	if r.count == len(r.buf) {
-		n := len(r.buf) * 2
-		if n == 0 {
-			n = 8
-		}
-		nb := make([]int64, n)
-		for i := 0; i < r.count; i++ {
-			nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-		}
-		r.buf = nb
-		r.head = 0
-	}
-	r.buf[(r.head+r.count)&(len(r.buf)-1)] = v
-	r.count++
-}
-
-func (r *ring) pop() (int64, bool) {
-	if r.count == 0 {
-		return 0, false
-	}
-	v := r.buf[r.head]
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.count--
-	return v, true
-}
-
 // classState is the per-class aggregate.
 type classState struct {
 	id   int
@@ -245,8 +209,6 @@ type classState struct {
 	queuedBytes   int64
 	slack, qdelay *Histogram
 	rate, rateRT  EWMA
-
-	enqAt ring // per-packet enqueue clocks (FIFO order mirrors the leaf queue)
 }
 
 // Aggregator folds core scheduler events into per-class metrics. It
@@ -353,7 +315,6 @@ func (a *Aggregator) apply(r *core.Record) {
 		st.enqBytes += work
 		st.queuedPkts++
 		st.queuedBytes += work
-		st.enqAt.push(now)
 	case core.EvDrop:
 		st := a.state(cl)
 		dr := core.DropReason(r.Aux)
@@ -367,12 +328,12 @@ func (a *Aggregator) apply(r *core.Record) {
 		st.sentRTBytes += work
 		st.slack.Observe(r.Aux)
 		st.rateRT.Observe(work, now)
-		a.dequeued(st, work, now)
+		a.dequeued(st, r)
 	case core.EvDequeueLS:
 		st := a.state(cl)
 		st.sentLSPkts++
 		st.sentLSBytes += work
-		a.dequeued(st, work, now)
+		a.dequeued(st, r)
 	case core.EvDeadlineMiss:
 		a.state(cl).deadlineMiss++
 	case core.EvActivate:
@@ -387,13 +348,13 @@ func (a *Aggregator) apply(r *core.Record) {
 }
 
 // dequeued applies the criterion-independent bookkeeping of a departure.
-func (a *Aggregator) dequeued(st *classState, work, now int64) {
+// Queue delay runs from the packet's arrival stamp, which every enqueue
+// path sets to the enqueue clock when the submitter left it zero.
+func (a *Aggregator) dequeued(st *classState, r *core.Record) {
 	st.queuedPkts--
-	st.queuedBytes -= work
-	st.rate.Observe(work, now)
-	if at, ok := st.enqAt.pop(); ok && now >= at {
-		st.qdelay.Observe(now - at)
-	}
+	st.queuedBytes -= r.Work
+	st.rate.Observe(r.Work, r.Now)
+	st.qdelay.Observe(max(r.Now-r.Arrival, 0))
 }
 
 // CountDrop records a packet refused before it reached the core scheduler
@@ -509,7 +470,7 @@ type ClassSnapshot struct {
 
 	// Distributions.
 	DeadlineSlack HistogramSnapshot // ns; negative = missed deadlines
-	QueueDelay    HistogramSnapshot // ns from enqueue to dequeue
+	QueueDelay    HistogramSnapshot // ns from Packet.Arrival (the enqueue clock unless the submitter set it) to dequeue
 }
 
 // SentPackets returns the total packets sent under both criteria.

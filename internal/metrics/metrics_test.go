@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/netsched/hfsc/internal/audit"
 	"github.com/netsched/hfsc/internal/core"
 	"github.com/netsched/hfsc/internal/curve"
 	"github.com/netsched/hfsc/internal/metrics"
@@ -263,11 +265,58 @@ func TestTraceSteadyStateZeroAllocs(t *testing.T) {
 		s.Dequeue(now)
 		now += 2_000_000
 	}
-	for i := 0; i < 2000; i++ { // warm up rings and class table
+	for i := 0; i < 2000; i++ { // warm up the class table and histograms
 		step()
 	}
 	if avg := testing.AllocsPerRun(500, step); avg != 0 {
 		t.Fatalf("traced steady state allocates %v allocs/op", avg)
+	}
+}
+
+// TestSinksHeapFlatUnderBacklog queues 100k packets in one real-time
+// class with the aggregator and the auditor behind a core.Batch. Neither
+// sink may keep per-packet state: the live heap with the sinks attached,
+// minus the live heap of the same run without them, stays under 64 KiB
+// (one 8-byte stamp per queued packet would be 800 kB per sink).
+func TestSinksHeapFlatUnderBacklog(t *testing.T) {
+	const n = 100_000
+	run := func(sinks bool) int64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		var tr core.Tracer
+		var b *core.Batch
+		if sinks {
+			b = core.NewBatch(metrics.NewAggregator(), audit.New(mbps))
+			tr = b
+		}
+		s := core.New(core.Options{Tracer: tr})
+		cl, err := s.AddClass(nil, "rt", curve.Linear(mbps), curve.Linear(mbps), curve.SC{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkts := make([]pktq.Packet, n)
+		for i := range pkts {
+			pkts[i] = pktq.Packet{Len: 100, Class: cl.ID()}
+			s.Enqueue(&pkts[i], int64(i)*1000)
+		}
+		if b != nil {
+			b.Publish()
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(s)
+		runtime.KeepAlive(b)
+		runtime.KeepAlive(pkts)
+		return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	}
+	run(false) // settle one-time runtime and package state
+	bare := run(false)
+	traced := run(true)
+	d := traced - bare
+	t.Logf("sinks' heap under a %d-packet backlog: %d B", n, d)
+	if d >= 64<<10 {
+		t.Fatalf("sinks hold %d B for a %d-packet backlog (heap %d B traced, %d B bare), want < 64 KiB", d, n, traced, bare)
 	}
 }
 

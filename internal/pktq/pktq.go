@@ -45,7 +45,7 @@ type Packet struct {
 	Class   int    // leaf class index within the scheduler
 	Flow    int    // originating flow, for statistics
 	Seq     uint64 // global arrival sequence number
-	Arrival int64  // ns, time the last bit arrived (paper's convention)
+	Arrival int64  // ns, time the last bit arrived (paper's convention); the enqueue stamps its clock when zero
 	Depart  int64  // ns, time the last bit was transmitted; set by the link
 
 	// Cost is the scheduled quantity in abstract cost units. Zero means

@@ -76,6 +76,9 @@ func (s *Scheduler) offer(p *Packet, now int64) DropReason {
 			}
 			return DropQueueLimit
 		}
+		if p.Arrival == 0 {
+			p.Arrival = now
+		}
 		if s.stage != nil {
 			s.stage.Trace(core.EvEnqueue, cl, p, now, 0)
 		}

@@ -1309,10 +1309,11 @@ func (q *PacedQueue) rebalance(now int64) {
 	}
 }
 
-// drainIntake moves buffered arrivals into the scheduler, stamping the
-// arrival clock (unless the submitter already did) so queueing-delay
-// metrics measure from intake. At most limit packets per call. Their
-// events are staged, not published, except before an OnReject call.
+// drainIntake moves buffered arrivals into the scheduler at clock nowNs,
+// which the enqueue stamps as the arrival of each packet the submitter
+// left unstamped, so queueing-delay metrics measure from intake. At most
+// limit packets per call. Their events are staged, not published, except
+// before an OnReject call.
 func (sh *shard) drainIntake(rings *intake.Queue, buf []*Packet, nowNs int64, limit int) ([]*Packet, int) {
 	q, s := sh.q, sh.s
 	if hw := q.drainHW(); hw > 0 {
@@ -1327,9 +1328,6 @@ func (sh *shard) drainIntake(rings *intake.Queue, buf []*Packet, nowNs int64, li
 			break
 		}
 		for _, p := range buf {
-			if p.Arrival == 0 {
-				p.Arrival = nowNs
-			}
 			if r := s.offer(p, nowNs); r != DropNone && q.OnReject != nil {
 				s.publish() // OnReject sees the drop counted
 				p.Class = p.Class<<q.bits | sh.idx
