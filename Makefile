@@ -36,12 +36,18 @@ test:
 # park, and Correct from Transmit while Stop winds the shards down. The
 # telemetry publish points ride along too: inside Transmit and OnReject
 # the staged events of the pass must already be visible to Snapshot and
-# the flight recorder, at one shard and at four.
+# the flight recorder, at one shard and at four. So do the packet pool —
+# a producer and a releasing consumer trading 1M packets in magazines
+# across GCs, each Get zeroed and never held twice — and the snapshot
+# oracle, which checks slab-built snapshots, four-shard merges and their
+# exposition against per-class copies through removals and idle sweeps.
 stress:
 	$(GO) test -race -count=3 -run='TestSixteenTenantRaceStress|TestSLOTieredAdmission' ./hfscmw/
 	$(GO) test -race -count=3 -run='TestCorrectCollectIdleRace|TestAuditVerdictCollectIdleRace' .
 	$(GO) test -race -count=3 -run='TestPacedQueueChurn|TestPacedQueueInspectWakeup|TestPacedQueueCorrectFromTransmitDuringStop' .
 	$(GO) test -race -count=3 -run='TestPacedTelemetryVisibleInCallbacks|TestOfferVisibleOnReturn' .
+	$(GO) test -race -count=3 -run='TestPoolCycleZeroedAndExclusive' ./internal/pktq/
+	$(GO) test -race -count=3 -run='TestSnapshotMatchesOracle|TestSnapshotCountsDoNotAlias' ./internal/metrics/
 
 # The datapath conformance/bounds harness: the H-FSC core (BackendHFSC)
 # and the HLS fast path (via BackendAuto on link-sharing-only trees)

@@ -2,6 +2,7 @@ package audit
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -348,5 +349,40 @@ func TestCumulativeStallProbeNeverEarly(t *testing.T) {
 	}
 	if later == 0 {
 		t.Error("the probe never lagged the oracle: the streams do not exercise mixed-size stalls")
+	}
+}
+
+// appendSnapshot is Snapshot as it was before the class slab was sized
+// up front: one append per live class. It is the oracle for Snapshot.
+func appendSnapshot(a *Auditor) *Snapshot {
+	a.mu.Lock()
+	now := a.lastEvent
+	a.mu.Unlock()
+	a.Tick(now)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	out := &Snapshot{Now: a.lastEvent, UlimitDefers: a.ulimitDefers}
+	for _, st := range a.classes {
+		if st != nil {
+			out.Classes = append(out.Classes, a.snapClass(st))
+		}
+	}
+	return out
+}
+
+// TestSnapshotMatchesAppendOracle: on a random stream in which classes
+// are forgotten along the way, every Snapshot equals the per-class
+// append loop's.
+func TestSnapshotMatchesAppendOracle(t *testing.T) {
+	d := newDiffStream(t, 7, false, true)
+	for i := 0; i < 3000; i++ {
+		d.step()
+		if i%500 == 499 {
+			d.got.Forget(d.cls[(i/500)%len(d.cls)].ID())
+		}
+		got, want := d.got.Snapshot(), appendSnapshot(d.got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: snapshot differs from the append oracle\ngot  %+v\nwant %+v", i, got, want)
+		}
 	}
 }

@@ -97,6 +97,8 @@ func (s *Snapshot) Verdict() Verdict {
 // Snapshot copies the current state. Safe from any goroutine, in
 // particular while the scheduling goroutine keeps feeding events. It
 // runs a Tick first so stalled backlogs are current as of the snapshot.
+// It costs two allocations whatever the class count: the Snapshot and
+// its class slab.
 func (a *Auditor) Snapshot() *Snapshot {
 	a.mu.Lock()
 	now := a.lastEvent
@@ -105,11 +107,20 @@ func (a *Auditor) Snapshot() *Snapshot {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	out := &Snapshot{Now: a.lastEvent, UlimitDefers: a.ulimitDefers}
+	live := 0
 	for _, st := range a.classes {
-		if st == nil {
-			continue
+		if st != nil {
+			live++
 		}
-		out.Classes = append(out.Classes, a.snapClass(st))
+	}
+	if live == 0 {
+		return out
+	}
+	out.Classes = make([]ClassAudit, 0, live)
+	for _, st := range a.classes {
+		if st != nil {
+			out.Classes = append(out.Classes, a.snapClass(st))
+		}
 	}
 	return out
 }
@@ -212,9 +223,19 @@ func verdictOf(c *ClassAudit) Verdict {
 // newest across shards, and class entries — disjoint between shards —
 // are concatenated with ids translated by remap (shard index, local id)
 // → (merged id, keep); returning ok=false drops the entry. Nil snapshots
-// are skipped; a nil remap keeps local ids.
+// are skipped; a nil remap keeps local ids. Like Snapshot, it costs a
+// constant number of allocations.
 func Merge(snaps []*Snapshot, remap func(shard, id int) (int, bool)) *Snapshot {
 	out := &Snapshot{}
+	n := 0
+	for _, s := range snaps {
+		if s != nil {
+			n += len(s.Classes)
+		}
+	}
+	if n > 0 {
+		out.Classes = make([]ClassAudit, 0, n)
+	}
 	for i, s := range snaps {
 		if s == nil {
 			continue
@@ -233,6 +254,9 @@ func Merge(snaps []*Snapshot, remap func(shard, id int) (int, bool)) *Snapshot {
 			}
 			out.Classes = append(out.Classes, c)
 		}
+	}
+	if len(out.Classes) == 0 {
+		out.Classes = nil
 	}
 	sort.Slice(out.Classes, func(a, b int) bool { return out.Classes[a].ID < out.Classes[b].ID })
 	return out

@@ -10,8 +10,22 @@ import "sort"
 // the merged id space; returning ok=false drops the entry (e.g. a shard's
 // root). A nil remap keeps local ids, which is only meaningful for a
 // single snapshot. Nil snapshots are skipped.
+//
+// The merged class entries share the shards' histogram counts (each
+// capped at its own length), so a merge costs a constant number of
+// allocations: the Snapshot, one slab of class entries, the two span
+// histograms' counts and the sort's bookkeeping.
 func MergeSnapshots(snaps []*Snapshot, remap func(shard, id int) (int, bool)) *Snapshot {
 	out := &Snapshot{}
+	n := 0
+	for _, s := range snaps {
+		if s != nil {
+			n += len(s.Classes)
+		}
+	}
+	if n > 0 {
+		out.Classes = make([]ClassSnapshot, 0, n)
+	}
 	for i, s := range snaps {
 		if s == nil {
 			continue
@@ -39,6 +53,9 @@ func MergeSnapshots(snaps []*Snapshot, remap func(shard, id int) (int, bool)) *S
 			}
 			out.Classes = append(out.Classes, c)
 		}
+	}
+	if len(out.Classes) == 0 {
+		out.Classes = nil
 	}
 	sort.Slice(out.Classes, func(a, b int) bool { return out.Classes[a].ID < out.Classes[b].ID })
 	return out

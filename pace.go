@@ -110,6 +110,16 @@ type PacedQueue struct {
 	// metrics.
 	dropStopped atomic.Uint64
 
+	// Span sampling (Config.Spans): every spanEvery-th packet submitted to
+	// the queue is stamped with its submit clock; the transmit side turns
+	// the stamps into a latency decomposition. spanCtr numbers the
+	// submitted packets, one Add per Submit or SubmitN batch. Every
+	// producer writes it, so it has a cache line of its own.
+	spanEvery uint64
+	_         [cacheLine]byte
+	spanCtr   atomic.Uint64
+	_         [cacheLine - 8]byte
+
 	// adminMu serializes the admin operations, so a name is created on at
 	// most one shard. It is held across shard inspections, which placeMu —
 	// taken by the shards' placement hooks on pacing goroutines — never is.
@@ -152,12 +162,6 @@ type shard struct {
 	// corrLoop (under corrMu) is set while the pacing goroutine is alive to
 	// apply queued corrections: from Start until its exit flush.
 	corrLoop bool
-
-	// Span sampling (Config.Spans): every spanEvery-th submitted packet is
-	// stamped with its submit clock; the transmit side turns the stamps
-	// into a latency decomposition. spanCtr is shared by all producers.
-	spanEvery uint64
-	spanCtr   atomic.Uint64
 
 	// Inspect support: closures for the pacing goroutine to run between
 	// scheduling passes, with a cheap pending flag the loop polls.
@@ -294,6 +298,9 @@ func newQueue(scheds []*Scheduler, transmit func(*Packet)) *PacedQueue {
 		stop:     make(chan struct{}),
 		place:    multi.NewPlacement(n),
 	}
+	if s := scheds[0]; s.cfg.Spans > 0 && s.agg != nil {
+		q.spanEvery = uint64(s.cfg.Spans)
+	}
 	for i, s := range scheds {
 		sh := &shard{
 			q:        q,
@@ -301,9 +308,6 @@ func newQueue(scheds []*Scheduler, transmit func(*Packet)) *PacedQueue {
 			s:        s,
 			wake:     make(chan struct{}, 1),
 			inspectQ: make(chan func(), 8),
-		}
-		if s.cfg.Spans > 0 && s.agg != nil {
-			sh.spanEvery = uint64(s.cfg.Spans)
 		}
 		sh.rate.Store(q.line)
 		s.onPlace = func(guarantee uint64, top, add bool) {
@@ -454,6 +458,9 @@ func (q *PacedQueue) Submit(p *Packet) DropReason {
 		q.dropStopped.Add(1)
 		return DropStopped
 	}
+	if q.spanEvery != 0 {
+		q.maybeSpan(p, q.spanCtr.Add(1))
+	}
 	if !sh.push(p) {
 		return DropIntakeFull // the ring counted the drop
 	}
@@ -461,11 +468,13 @@ func (q *PacedQueue) Submit(p *Packet) DropReason {
 	return DropNone
 }
 
+// cacheLine is the cache-line size the span counter is padded to.
+const cacheLine = 64
+
 // push offers one packet to the shard's intake rings under its local id,
 // without the stopped-check or doorbell. A refused packet gets its queue
 // id back.
 func (sh *shard) push(p *Packet) bool {
-	sh.maybeSpan(p)
 	id := p.Class
 	p.Class = id >> sh.q.bits
 	if !sh.intakeRings().Push(p.Class, p) {
@@ -475,19 +484,16 @@ func (sh *shard) push(p *Packet) bool {
 	return true
 }
 
-// maybeSpan stamps every spanEvery-th packet with its submit clock; the
-// transmit side turns the stamp into a lifecycle span. Costs one
-// predictable branch per Submit when sampling is off. The stamp comes
-// from the coarse clock (one atomic load, no time.Now() on the producer
-// path); before the pacing loop's first pass publishes a value it falls
-// back to the real clock. A coarse stamp is never ahead of the drain
-// pass that picks the packet up, so span components stay non-negative.
-func (sh *shard) maybeSpan(p *Packet) {
-	if sh.spanEvery == 0 {
-		return
-	}
-	if sh.spanCtr.Add(1)%sh.spanEvery == 0 {
-		if ts := sh.q.clk.now(); ts != 0 {
+// maybeSpan stamps the n-th packet submitted to the queue with its submit
+// clock when n is a multiple of spanEvery; the transmit side turns the
+// stamp into a lifecycle span. The stamp comes from the coarse clock (one
+// atomic load, no time.Now() on the producer path); before the pacing
+// loop's first pass publishes a value it falls back to the real clock. A
+// coarse stamp is never ahead of the drain pass that picks the packet up,
+// so span components stay non-negative.
+func (q *PacedQueue) maybeSpan(p *Packet, n uint64) {
+	if n%q.spanEvery == 0 {
+		if ts := q.clk.now(); ts != 0 {
 			p.SubmitAt = ts
 		} else {
 			p.SubmitAt = Now(time.Now())
@@ -512,13 +518,30 @@ func (q *PacedQueue) SubmitN(ps []*Packet) (accepted int, last DropReason) {
 		q.dropStopped.Add(1)
 		return 0, DropStopped
 	}
+	// The batch's span numbers are taken in one Add; a refusal hands back
+	// those of the packets it leaves unattempted, so a lone producer stamps
+	// exactly the packets Submit one by one would.
+	var base, span uint64
+	if q.spanEvery != 0 {
+		base = q.spanCtr.Add(uint64(len(ps))) - uint64(len(ps))
+		span = base
+	}
 	var touched uint64 // the shard count is clamped to 64
 	for i, p := range ps {
 		sh, r := q.route(p)
-		if r == DropNone && !sh.push(p) {
-			r = DropIntakeFull // the ring counted the drop
+		if r == DropNone {
+			if q.spanEvery != 0 {
+				span++
+				q.maybeSpan(p, span)
+			}
+			if !sh.push(p) {
+				r = DropIntakeFull // the ring counted the drop
+			}
 		}
 		if r != DropNone {
+			if back := uint64(len(ps)) - (span - base); q.spanEvery != 0 && back > 0 {
+				q.spanCtr.Add(-back)
+			}
 			q.kick(touched)
 			return i, r
 		}

@@ -2,6 +2,7 @@ package hfsc_test
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -521,6 +522,90 @@ func TestPacedQueueCorrectFromTransmitDuringStop(t *testing.T) {
 			}
 			if got != 0 {
 				t.Fatalf("refund not applied by the exit flush: class total %d bytes, want 0", got)
+			}
+		})
+	}
+}
+
+// TestSpanSamplingStampsEveryNth pins which packets carry a span stamp:
+// with one producer, the n-th packet the queue attempts to push (Submit
+// or within a SubmitN batch, refused at a full ring or not) is stamped
+// exactly when n is a multiple of Config.Spans. Packets a batch leaves
+// unattempted after a refusal, and packets refused before intake
+// (unknown class, stopped queue), take no number. The numbering runs
+// across the whole queue, so it is the same at one shard and at four.
+func TestSpanSamplingStampsEveryNth(t *testing.T) {
+	const every = 4
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			q, err := hfsc.NewMultiQueue(hfsc.MultiConfig{
+				Config: hfsc.Config{LinkRate: 10 * hfsc.Mbps, Metrics: true, Spans: every},
+				Shards: shards,
+			}, func(*hfsc.Packet) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.IntakeDepth = 64 // never started: the rings fill, so pushes get refused
+			var ids []int
+			for i := 0; i < 8; i++ {
+				id, err := q.AddClass("", fmt.Sprintf("c%d", i), hfsc.ClassConfig{LinkShare: hfsc.Linear(hfsc.Mbps)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, id)
+			}
+			rng := rand.New(rand.NewSource(int64(shards)))
+			n := uint64(0) // the model's count of numbered packets
+			check := func(p *hfsc.Packet, numbered bool) {
+				t.Helper()
+				if numbered {
+					n++
+				}
+				if want := numbered && n%every == 0; (p.SubmitAt != 0) != want {
+					t.Fatalf("packet %d (number %d, numbered %v): stamped %v, want %v", p.Seq, n, numbered, p.SubmitAt != 0, want)
+				}
+			}
+			seq := uint64(0)
+			newPkt := func() *hfsc.Packet {
+				seq++
+				p := &hfsc.Packet{Len: 100, Class: ids[rng.Intn(len(ids))], Seq: seq}
+				if rng.Intn(16) == 0 {
+					p.Class = -1 // refused by routing: takes no number
+				}
+				return p
+			}
+			var full, unknown int
+			for round := 0; round < 200; round++ {
+				if rng.Intn(4) == 0 {
+					p := newPkt()
+					r := q.Submit(p)
+					check(p, r == hfsc.DropNone || r == hfsc.DropIntakeFull)
+					continue
+				}
+				ps := make([]*hfsc.Packet, 1+rng.Intn(20))
+				for i := range ps {
+					ps[i] = newPkt()
+				}
+				acc, r := q.SubmitN(ps)
+				for _, p := range ps[:acc] {
+					check(p, true)
+				}
+				switch r {
+				case hfsc.DropIntakeFull:
+					full++
+					check(ps[acc], true)
+				case hfsc.DropUnknownClass:
+					unknown++
+					check(ps[acc], false)
+				}
+				if acc < len(ps) {
+					for _, p := range ps[acc+1:] {
+						check(p, false)
+					}
+				}
+			}
+			if full == 0 || unknown == 0 || n < 100 {
+				t.Fatalf("weak run: %d intake-full and %d unknown-class refusals over %d numbered packets", full, unknown, n)
 			}
 		})
 	}
