@@ -12,6 +12,7 @@ import "github.com/netsched/hfsc/internal/pktq"
 // packet sits in ps[accepted:] after SubmitN — never left the caller,
 // who may Release or retry it. Never Release a packet still queued.
 //
-// Release keeps the Payload backing array, so pooled packets reused for
-// similarly-sized payloads stop allocating once warm.
+// Release keeps a Payload backing array of up to 2 KiB, so pooled packets
+// reused for similarly-sized payloads stop allocating once warm; a larger
+// array is dropped, so idle pooled packets never pin big buffers.
 func GetPacket() *Packet { return pktq.Get() }
