@@ -41,8 +41,11 @@ test:
 # across GCs, each Get zeroed and never held twice — and the snapshot
 # oracle, which checks slab-built snapshots, four-shard merges and their
 # exposition against per-class copies through removals and idle sweeps.
+# The admission wake channels are recycled between requests, so the
+# middleware stress also races expiring contexts against transmit,
+# mid-flight eviction and Close, checking no send wakes the wrong waiter.
 stress:
-	$(GO) test -race -count=3 -run='TestSixteenTenantRaceStress|TestSLOTieredAdmission' ./hfscmw/
+	$(GO) test -race -count=3 -run='TestSixteenTenantRaceStress|TestSLOTieredAdmission|TestWakeChannelRecycleRace' ./hfscmw/
 	$(GO) test -race -count=3 -run='TestCorrectCollectIdleRace|TestAuditVerdictCollectIdleRace' .
 	$(GO) test -race -count=3 -run='TestPacedQueueChurn|TestPacedQueueInspectWakeup|TestPacedQueueCorrectFromTransmitDuringStop' .
 	$(GO) test -race -count=3 -run='TestPacedTelemetryVisibleInCallbacks|TestOfferVisibleOnReturn' .

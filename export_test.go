@@ -16,3 +16,7 @@ func Rebalance(q *PacedQueue) {
 		q.rebalance(Now(time.Now()))
 	}
 }
+
+// Parked reports whether a one-shard queue's pacing goroutine is parked
+// (or about to park) with nothing to send.
+func Parked(q *PacedQueue) bool { return q.shards[0].idle.Load() }

@@ -201,10 +201,23 @@ type Limiter struct {
 	pendSLO        SLO
 	pendGuaranteed bool
 
+	// wakeChans recycles the cap-1 channels admission waits on. It is a
+	// buffered channel rather than a sync.Pool because a GC empties a
+	// sync.Pool, and admission would then allocate again after every
+	// collection.
+	wakeChans chan chan struct{}
+
 	closed     chan struct{}
 	closeOnce  sync.Once
 	maxPending int64
 }
+
+// wakeChanCache bounds how many idle wake channels a Limiter keeps; a
+// release past it leaves the channel to the GC. It matches
+// DefaultMaxPending, so a burst as large as one tenant's whole pending
+// bound is admitted without allocating channels, and the free list pins
+// at most about 100 KB.
+const wakeChanCache = DefaultMaxPending
 
 // New builds and starts a Limiter over cfg.Concurrency seats.
 func New(cfg Config) (*Limiter, error) {
@@ -213,9 +226,10 @@ func New(cfg Config) (*Limiter, error) {
 	}
 	capacity := uint64(cfg.Concurrency) * Seat
 	l := &Limiter{
-		cfg:    cfg,
-		ledger: NewLedger(capacity),
-		closed: make(chan struct{}),
+		cfg:       cfg,
+		ledger:    NewLedger(capacity),
+		wakeChans: make(chan chan struct{}, wakeChanCache),
+		closed:    make(chan struct{}),
 	}
 	switch {
 	case cfg.MaxPending > 0:
@@ -260,7 +274,12 @@ func New(cfg Config) (*Limiter, error) {
 // pacing goroutine is stopped. Close is idempotent.
 func (l *Limiter) Close() {
 	l.closeOnce.Do(func() {
+		// Closed under createMu, so no tenant creation outlives it: on the
+		// stopped queue EnsureClass would run on the caller's goroutine and
+		// race the completion corrections Finish then applies inline.
+		l.createMu.Lock()
 		close(l.closed)
+		l.createMu.Unlock()
 		l.q.Stop()
 	})
 }
@@ -354,7 +373,7 @@ func (l *Limiter) Stats() map[string]TenantStats {
 }
 
 // AddTenant creates (or returns) the tenant's leaf class with the given
-// SLO. A non-zero SLO is reserved and committed against the capacity
+// SLO; after Close it creates none and fails with ErrClosed. A non-zero SLO is reserved and committed against the capacity
 // ledger; if the guarantee does not fit alongside existing commitments
 // the tenant is still created with the SLO's curve as link-sharing
 // weight only, and guaranteed reports false. Safe from any goroutine,
@@ -381,6 +400,11 @@ func (l *Limiter) getOrCreate(name string, slo SLO) (*tenant, error) {
 	defer l.createMu.Unlock()
 	if v, ok := l.tenants.Load(name); ok {
 		return v.(*tenant), nil
+	}
+	select {
+	case <-l.closed:
+		return nil, ErrClosed
+	default:
 	}
 	// Stage the SLO for makeTenant (which only receives the class name),
 	// then create through the pacing goroutine. The eviction and transmit
@@ -450,7 +474,7 @@ func (l *Limiter) onReject(p *hfsc.Packet, _ hfsc.DropReason) {
 	g, _ := p.Handle.(*gate)
 	p.Release()
 	if g != nil && g.state.CompareAndSwap(gateWaiting, gateRejected) {
-		close(g.ch)
+		g.ch <- struct{}{}
 	}
 }
 
@@ -473,16 +497,39 @@ const (
 	gateWaiting int32 = iota
 	gateAdmitted
 	gateAbandoned
-	gateClosed
 	gateRejected // work item refused at drain: the class was evicted mid-flight
 )
 
 // gate is the per-request admission handle carried through the scheduler
-// in Packet.Handle.
+// in Packet.Handle. Whoever moves state out of gateWaiting owns the
+// outcome: transmit and onReject send once on ch, while a waiter that wins
+// the abandon CAS knows no send will come. ch is a recycled cap-1 channel
+// (Limiter.wakeChans) that goes back to the free list only once nothing
+// can send on it for this gate, so it never wakes a later waiter. The
+// gate itself is never recycled: the work item of an abandoned request
+// may still reach transmit, which CASes the state of this very gate.
 type gate struct {
 	ch    chan struct{}
 	state atomic.Int32
-	crit  hfsc.Criterion // set before ch closes when admitted
+	crit  hfsc.Criterion // set before the send on ch when admitted
+}
+
+// wakeChan takes a wake channel from the free list, or makes one.
+func (l *Limiter) wakeChan() chan struct{} {
+	select {
+	case ch := <-l.wakeChans:
+		return ch
+	default:
+		return make(chan struct{}, 1)
+	}
+}
+
+// releaseWake returns a drained wake channel to the free list.
+func (l *Limiter) releaseWake(ch chan struct{}) {
+	select {
+	case l.wakeChans <- ch:
+	default:
+	}
 }
 
 // transmit is the PacedQueue's Transmit callback: the scheduler decided
@@ -500,7 +547,7 @@ func (l *Limiter) transmit(p *hfsc.Packet) {
 	}
 	g.crit = crit
 	if g.state.CompareAndSwap(gateWaiting, gateAdmitted) {
-		close(g.ch)
+		g.ch <- struct{}{}
 		return
 	}
 	// The waiter abandoned (context done) before admission: the item's
@@ -511,12 +558,13 @@ func (l *Limiter) transmit(p *hfsc.Packet) {
 
 // Ticket is an admitted request: the holder may run the work, then must
 // call Done (or Finish) exactly once to reconcile the measured service
-// time with the estimate the request was admitted under.
+// time with the estimate the request was admitted under. The request's
+// admission gate is embedded, so a warm Admit allocates only the Ticket.
 type Ticket struct {
+	gate
 	l         *Limiter
 	t         *tenant
 	est       int64
-	crit      hfsc.Criterion
 	admitted  time.Time
 	completed atomic.Bool
 }
@@ -597,7 +645,8 @@ func (l *Limiter) admitOnce(ctx context.Context, t *tenant, est int64) (tk *Tick
 		t.pending.Add(1)
 	}
 
-	g := &gate{ch: make(chan struct{})}
+	tk = &Ticket{gate: gate{ch: l.wakeChan()}, l: l, t: t, est: est}
+	g := &tk.gate
 	p := hfsc.GetPacket()
 	p.Cost = uint64(est)
 	p.Class = t.class
@@ -606,6 +655,7 @@ func (l *Limiter) admitOnce(ctx context.Context, t *tenant, est int64) (tk *Tick
 	if r := l.q.Submit(p); r != hfsc.DropNone {
 		t.pending.Add(-1)
 		p.Release()
+		l.releaseWake(g.ch) // the gate never reached the scheduler
 		switch r {
 		case hfsc.DropStopped:
 			return nil, false, ErrClosed
@@ -617,12 +667,14 @@ func (l *Limiter) admitOnce(ctx context.Context, t *tenant, est int64) (tk *Tick
 
 	select {
 	case <-g.ch:
+		l.releaseWake(g.ch)
 		if g.state.Load() == gateRejected {
 			t.pending.Add(-1)
 			return nil, true, nil
 		}
 		t.admitted.Add(1)
-		return &Ticket{l: l, t: t, est: est, crit: g.crit, admitted: time.Now()}, false, nil
+		tk.admitted = time.Now()
+		return tk, false, nil
 	case <-ctx.Done():
 	case <-l.closed:
 	}
@@ -630,6 +682,7 @@ func (l *Limiter) admitOnce(ctx context.Context, t *tenant, est int64) (tk *Tick
 	// honor the resolution: take an admission and refund it in full (the
 	// handler will not run), or absorb a rejection (nothing was charged).
 	if g.state.CompareAndSwap(gateWaiting, gateAbandoned) {
+		l.releaseWake(g.ch) // nothing sends once the gate is abandoned
 		t.canceled.Add(1)
 		if err := ctx.Err(); err != nil {
 			return nil, false, err
@@ -637,6 +690,7 @@ func (l *Limiter) admitOnce(ctx context.Context, t *tenant, est int64) (tk *Tick
 		return nil, false, ErrClosed
 	}
 	<-g.ch
+	l.releaseWake(g.ch)
 	t.canceled.Add(1)
 	if g.state.Load() == gateRejected {
 		t.pending.Add(-1)

@@ -148,6 +148,14 @@ type marginSlot struct {
 	min int64
 }
 
+// classRings are a class's burn-rate and margin windows (about 5 KB). Only a
+// class that records a check or samples a margin — a guaranteed class, or
+// one that drops — needs them, so they are allocated on first use.
+type classRings struct {
+	burn    [burnSeconds]burnSlot
+	margins [marginSlots]marginSlot
+}
+
 // classAudit is the per-class auditor state.
 type classAudit struct {
 	id   int
@@ -157,7 +165,11 @@ type classAudit struct {
 	// (live retuning); hasRT gates all deadline work. sustained is the
 	// curve's long-term slope (bytes/s): the token-bucket arrival rate the
 	// delay bound is owed for, even when the curve itself is convex and
-	// delivers less early in the busy period.
+	// delivers less early in the busy period. curveGen is the class's
+	// curve generation rscSC was read at (once curveSeen), so an
+	// unchanged class costs one integer compare per enqueue.
+	curveGen  uint64
+	curveSeen bool
 	rscSC     curve.SC
 	rsc       curve.Curve
 	hasRT     bool
@@ -202,10 +214,17 @@ type classAudit struct {
 	worstLateNs int64 // worst lateness past the allowance (genuine causes)
 	delayMaxNs  int64 // worst observed per-packet delay (arrival→dequeue)
 
-	burn      [burnSeconds]burnSlot
-	margins   [marginSlots]marginSlot
-	minMargin int64 // all-time minimum margin
+	rings     *classRings // nil until the first check or margin sample
+	minMargin int64       // all-time minimum margin
 	hasMargin bool
+}
+
+// ensureRings returns the class's windows, allocating them on first use.
+func (st *classAudit) ensureRings() *classRings {
+	if st.rings == nil {
+		st.rings = new(classRings)
+	}
+	return st.rings
 }
 
 // Auditor folds scheduler events into per-class guarantee verdicts. It
@@ -292,8 +311,14 @@ func (a *Auditor) state(cl *core.Class) *classAudit {
 // refreshCurve recompiles the class's guaranteed curve if it changed
 // (first sight, or a live SetCurves retune) and reports whether it did.
 // Compiling allocates, so it only happens on change — never per event in
-// steady state.
+// steady state. A SetCurves that leaves the real-time curve as it was is
+// not a change.
 func (st *classAudit) refreshCurve(cl *core.Class) bool {
+	gen := cl.CurveGen()
+	if st.curveSeen && gen == st.curveGen {
+		return false
+	}
+	st.curveSeen, st.curveGen = true, gen
 	sc := cl.RSC()
 	if sc == st.rscSC && (st.hasRT || sc.IsZero()) {
 		return false
@@ -550,7 +575,7 @@ func (st *classAudit) delayBound(a *Auditor) int64 {
 // record folds one check into the burn-rate ring; sec is the event's
 // epoch second (now / 1e9), computed once by the caller.
 func (st *classAudit) record(sec int64, violated bool) {
-	slot := &st.burn[int(sec%burnSeconds)]
+	slot := &st.ensureRings().burn[int(sec%burnSeconds)]
 	if slot.key != sec+1 {
 		slot.key = sec + 1
 		slot.checks = 0
@@ -570,7 +595,7 @@ func (st *classAudit) sampleMargin(sec, margin int64) {
 		st.minMargin = margin
 	}
 	st.hasMargin = true
-	slot := &st.margins[int(sec%marginSlots)]
+	slot := &st.ensureRings().margins[int(sec%marginSlots)]
 	if slot.key != sec+1 {
 		slot.key = sec + 1
 		slot.min = margin

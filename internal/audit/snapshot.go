@@ -157,9 +157,13 @@ func (a *Auditor) snapClass(st *classAudit) ClassAudit {
 	if st.hasRT {
 		c.DelayBoundNs = st.delayBound(a)
 	}
+	if st.rings == nil { // never checked: no margin, no burn
+		c.Verdict = verdictOf(&c)
+		return c
+	}
 	nowSec := a.lastEvent / int64(time.Second)
-	for i := range st.margins {
-		sl := &st.margins[i]
+	for i := range st.rings.margins {
+		sl := &st.rings.margins[i]
 		if st.hasMargin && sl.key > 0 && nowSec-(sl.key-1) < marginSlots {
 			if sl.min < c.MinMarginNs {
 				c.MinMarginNs = sl.min
@@ -167,8 +171,8 @@ func (a *Auditor) snapClass(st *classAudit) ClassAudit {
 		}
 	}
 	var c1, v1, c30, v30, c300, v300 uint64
-	for i := range st.burn {
-		sl := &st.burn[i]
+	for i := range st.rings.burn {
+		sl := &st.rings.burn[i]
 		if sl.key == 0 || sl.checks == 0 {
 			continue
 		}

@@ -99,6 +99,7 @@ func (s *Scheduler) SetCurves(cl *Class, rsc, fsc, usc curve.SC, now int64) erro
 	}
 	h := cl.hot
 	cl.rsc, cl.fsc, cl.usc = rsc, fsc, usc
+	cl.curveGen++
 	cl.hasRSC, cl.hasFSC, cl.hasUSC = !rsc.IsZero(), !fsc.IsZero(), !usc.IsZero()
 	if cl.hasRSC {
 		cl.deadline.Init(rsc, now, h.cumul)

@@ -100,6 +100,7 @@ type Class struct {
 
 	rsc, fsc, usc          curve.SC
 	hasRSC, hasFSC, hasUSC bool
+	curveGen               uint64 // bumped by every SetCurves
 
 	queue pktq.FIFO // leaf classes only
 
@@ -140,6 +141,11 @@ func (c *Class) IsLeaf() bool { return len(c.child) == 0 }
 // RSC returns the class's real-time service curve specification (zero if
 // none).
 func (c *Class) RSC() curve.SC { return c.rsc }
+
+// CurveGen returns the class's curve generation: it changes whenever
+// SetCurves replaces the curves, so a reader can tell a retune from one
+// integer compare instead of comparing the curves themselves.
+func (c *Class) CurveGen() uint64 { return c.curveGen }
 
 // FSC returns the class's link-sharing service curve specification.
 func (c *Class) FSC() curve.SC { return c.fsc }

@@ -38,30 +38,41 @@ const DefaultWindow = time.Second
 
 // DelayBuckets are the histogram upper bounds (ns) for nonnegative
 // durations such as queueing delay: roughly logarithmic from 10 µs to 10 s.
-var DelayBuckets = []int64{
-	10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
-	1_000_000, 2_500_000, 5_000_000, 10_000_000, 25_000_000, 50_000_000,
-	100_000_000, 250_000_000, 500_000_000, 1_000_000_000, 10_000_000_000,
-}
+// Read-only: every class's queue-delay histogram shares them.
+var DelayBuckets = delayBounds[:]
 
 // SlackBuckets are the histogram upper bounds (ns) for deadline
 // slack (deadline − departure). Negative values are deadline misses; the
 // negative range is mirrored so the miss magnitude is visible too.
-var SlackBuckets = []int64{
-	-10_000_000, -1_000_000, -100_000, -10_000, 0,
-	10_000, 100_000, 1_000_000, 2_500_000, 5_000_000, 10_000_000,
-	25_000_000, 50_000_000, 100_000_000, 1_000_000_000,
-}
+// Read-only: every class's slack histogram shares them.
+var SlackBuckets = slackBounds[:]
 
-// Histogram is a fixed-bucket histogram over int64 values (ns). Bounds are
-// per-bucket upper bounds in ascending order; one extra overflow bucket
-// catches values beyond the last bound. Not safe for concurrent use (the
-// Aggregator serializes access).
-type Histogram struct {
+// The default bounds as arrays, so a class's bucket counts can be sized
+// at compile time (classState.counts).
+var (
+	delayBounds = [...]int64{
+		10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
+		1_000_000, 2_500_000, 5_000_000, 10_000_000, 25_000_000, 50_000_000,
+		100_000_000, 250_000_000, 500_000_000, 1_000_000_000, 10_000_000_000,
+	}
+	slackBounds = [...]int64{
+		-10_000_000, -1_000_000, -100_000, -10_000, 0,
+		10_000, 100_000, 1_000_000, 2_500_000, 5_000_000, 10_000_000,
+		25_000_000, 50_000_000, 100_000_000, 1_000_000_000,
+	}
+)
+
+// delaySet and slackSet are the default bucket sets, built once and shared
+// by every class's histograms.
+var (
+	delaySet = newBucketSet(DelayBuckets)
+	slackSet = newBucketSet(SlackBuckets)
+)
+
+// bucketSet is the immutable layout of a histogram: its bounds and the
+// lookup table derived from them.
+type bucketSet struct {
 	bounds []int64
-	counts []uint64 // len(bounds)+1; the last is the overflow bucket
-	sum    int64
-	n      uint64
 	// lut maps bits.Len64(uint64(v)) to the first bucket any value of
 	// that bit length can land in, turning the per-observation bucket
 	// search into one table load plus a tail scan bounded by how many
@@ -71,24 +82,40 @@ type Histogram struct {
 	lut [65]uint16
 }
 
-// NewHistogram creates a histogram over the given ascending upper bounds.
-func NewHistogram(bounds []int64) *Histogram {
-	h := &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
+func newBucketSet(bounds []int64) *bucketSet {
+	b := &bucketSet{bounds: bounds}
 	for bl := 1; bl <= 63; bl++ {
 		min := int64(1) << (bl - 1) // smallest positive value with bit length bl
 		i := 0
 		for i < len(bounds) && bounds[i] < min {
 			i++
 		}
-		h.lut[bl] = uint16(i)
+		b.lut[bl] = uint16(i)
 	}
-	return h
+	return b
+}
+
+// Histogram is a fixed-bucket histogram over int64 values (ns). Bounds are
+// per-bucket upper bounds in ascending order; one extra overflow bucket
+// catches values beyond the last bound. Not safe for concurrent use (the
+// Aggregator serializes access).
+type Histogram struct {
+	set    *bucketSet
+	counts []uint64 // len(bounds)+1; the last is the overflow bucket
+	sum    int64
+	n      uint64
+}
+
+// NewHistogram creates a histogram over the given ascending upper bounds.
+func NewHistogram(bounds []int64) *Histogram {
+	return &Histogram{set: newBucketSet(bounds), counts: make([]uint64, len(bounds)+1)}
 }
 
 // Observe adds one value.
 func (h *Histogram) Observe(v int64) {
-	i := int(h.lut[bits.Len64(uint64(v))])
-	for i < len(h.bounds) && v > h.bounds[i] {
+	b := h.set
+	i := int(b.lut[bits.Len64(uint64(v))])
+	for i < len(b.bounds) && v > b.bounds[i] {
 		i++
 	}
 	h.counts[i]++
@@ -113,7 +140,7 @@ func (h *Histogram) snapshotInto(slab []uint64) (HistogramSnapshot, []uint64) {
 	counts := slab[:n:n]
 	copy(counts, h.counts)
 	return HistogramSnapshot{
-		Bounds: h.bounds, // bounds are never mutated; share them
+		Bounds: h.set.bounds, // bounds are never mutated; share them
 		Counts: counts,
 		Sum:    h.sum,
 		Count:  h.n,
@@ -217,8 +244,12 @@ type classState struct {
 	correctedCost int64
 	queuedPkts    int64
 	queuedBytes   int64
-	slack, qdelay *Histogram
+	slack, qdelay Histogram
 	rate, rateRT  EWMA
+
+	// counts backs both histograms' buckets (slack first), so a class's
+	// state is a single allocation.
+	counts [len(slackBounds) + 1 + len(delayBounds) + 1]uint64
 }
 
 // Aggregator folds core scheduler events into per-class metrics. It
@@ -268,13 +299,10 @@ func (a *Aggregator) state(cl *core.Class) *classState {
 	}
 	st := a.classes[id]
 	if st == nil {
-		st = &classState{
-			id:     id,
-			name:   cl.Name(),
-			leaf:   cl.IsLeaf(),
-			slack:  NewHistogram(SlackBuckets),
-			qdelay: NewHistogram(DelayBuckets),
-		}
+		st = &classState{id: id, name: cl.Name(), leaf: cl.IsLeaf()}
+		ns := len(slackBounds) + 1
+		st.slack = Histogram{set: slackSet, counts: st.counts[:ns:ns]}
+		st.qdelay = Histogram{set: delaySet, counts: st.counts[ns:]}
 		st.rate.SetTau(float64(DefaultWindow))
 		st.rateRT.SetTau(float64(DefaultWindow))
 		a.classes[id] = st
@@ -597,7 +625,7 @@ func (a *Aggregator) ClassSnapshot(id int) (ClassSnapshot, bool) {
 }
 
 // countsLen is how many histogram counts a snapshot of the class holds.
-func (st *classState) countsLen() int { return len(st.slack.counts) + len(st.qdelay.counts) }
+func (st *classState) countsLen() int { return len(st.counts) }
 
 // snapClass copies st into c, carving the histogram counts off slab, and
 // returns the rest of the slab.

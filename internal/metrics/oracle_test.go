@@ -23,7 +23,7 @@ import (
 
 func oracleHist(h *Histogram) HistogramSnapshot {
 	return HistogramSnapshot{
-		Bounds: h.bounds,
+		Bounds: h.set.bounds,
 		Counts: append([]uint64(nil), h.counts...),
 		Sum:    h.sum,
 		Count:  h.n,
@@ -69,8 +69,8 @@ func oracleSnapshot(a *Aggregator) *Snapshot {
 			QueuedBytes:     st.queuedBytes,
 			RateBps:         st.rate.Rate(a.lastEvent),
 			RateRTBps:       st.rateRT.Rate(a.lastEvent),
-			DeadlineSlack:   oracleHist(st.slack),
-			QueueDelay:      oracleHist(st.qdelay),
+			DeadlineSlack:   oracleHist(&st.slack),
+			QueueDelay:      oracleHist(&st.qdelay),
 		})
 	}
 	return out

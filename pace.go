@@ -163,10 +163,20 @@ type shard struct {
 	// apply queued corrections: from Start until its exit flush.
 	corrLoop bool
 
-	// Inspect support: closures for the pacing goroutine to run between
+	// Inspect support: functions for the pacing goroutine to run between
 	// scheduling passes, with a cheap pending flag the loop polls.
-	inspectQ       chan func()
+	inspectQ       chan inspection
 	inspectPending atomic.Int32
+
+	// EnsureClass's round trip through the pacing goroutine, built once so
+	// creating a class allocates no closure or channel: ensureFn resolves
+	// ensureName into ensureID/ensureErr and ensureDone carries its
+	// completion. The queue's adminMu serializes every use.
+	ensureFn   func(*Scheduler)
+	ensureDone chan struct{}
+	ensureName string
+	ensureID   int
+	ensureErr  error
 
 	// gcAt is the clock (ns) of the next idle-class collection scan.
 	// Owned by the pacing goroutine; see Scheduler.CollectIdle.
@@ -182,11 +192,8 @@ const (
 	paceMaxBurst = 32
 	// paceDrainBatch sizes one intake drain call.
 	paceDrainBatch = 64
-	// paceMTU seeds the running average work per item used to convert
-	// schedule deficit into a burst budget; underestimating the count is
-	// safe (the loop comes straight back). The average adapts so that
-	// cost-denominated work items — whose cost dwarfs an MTU — do not
-	// turn microseconds of timer slack into a link-time-sized burst.
+	// paceMTU is the nominal work of one queued item when the rebalancer
+	// turns an intake ring's depth into demand.
 	paceMTU = 1500
 	// paceAuditPeriod is how often the pacing loop runs the guarantee
 	// auditor's stalled-backlog probe (Config.Audit). Coarse on purpose:
@@ -303,11 +310,19 @@ func newQueue(scheds []*Scheduler, transmit func(*Packet)) *PacedQueue {
 	}
 	for i, s := range scheds {
 		sh := &shard{
-			q:        q,
-			idx:      i,
-			s:        s,
-			wake:     make(chan struct{}, 1),
-			inspectQ: make(chan func(), 8),
+			q:          q,
+			idx:        i,
+			s:          s,
+			wake:       make(chan struct{}, 1),
+			inspectQ:   make(chan inspection, 8),
+			ensureDone: make(chan struct{}, 1),
+		}
+		sh.ensureFn = func(s *Scheduler) {
+			sh.ensureID = -1
+			var w *Class
+			if w, sh.ensureErr = s.EnsureClass(sh.ensureName, Now(time.Now())); sh.ensureErr == nil {
+				sh.ensureID = q.globalID(sh.idx, w.ID())
+			}
 		}
 		sh.rate.Store(q.line)
 		s.onPlace = func(guarantee uint64, top, add bool) {
@@ -829,10 +844,13 @@ func (sh *shard) loop() {
 	// sustained producer flood cannot starve the transmit side.
 	drainCap := rings.Cap()
 	linkFree := time.Now()
-	// Running average work per transmitted item (cost units), seeded for
-	// MTU-sized packets; the deficit-recovery burst size is derived from
-	// it so the budget tracks what items actually cost on this shard.
-	avgWork := int64(paceMTU)
+	// Running average work per transmitted item (cost units); the
+	// deficit-recovery burst size is derived from it so the budget tracks
+	// what items actually cost on this shard. Zero until the first
+	// transmit seeds it: no guess serves both packets and cost-denominated
+	// work items (a 40 ms request on 32 seats is 4·10⁷ units), and a guess
+	// too small would turn microseconds of slack into a flood of them.
+	avgWork := int64(0)
 	burst := make([]*Packet, 0, paceMaxBurst)
 	buf := make([]*Packet, 0, paceDrainBatch)
 	spin := 0 // idle yields left before the loop parks
@@ -890,7 +908,7 @@ func (sh *shard) loop() {
 		// with one batched DequeueN call.
 		rate := sh.rate.Load()
 		want := 1
-		if behind := now.Sub(linkFree); behind > 0 {
+		if behind := now.Sub(linkFree); behind > 0 && avgWork > 0 {
 			if owed := int(uint64(behind) * rate / (uint64(avgWork) * uint64(time.Second))); owed > 1 {
 				want = min(owed, paceMaxBurst)
 			}
@@ -969,7 +987,11 @@ func (sh *shard) loop() {
 		sh.sent.Add(uint64(len(burst)))
 		sh.sentBytes.Add(total)
 		if per := total / int64(len(burst)); per > 0 {
-			avgWork = (7*avgWork + per) / 8
+			if avgWork == 0 {
+				avgWork = per
+			} else {
+				avgWork = (7*avgWork + per) / 8
+			}
 		}
 		// Schedule the next transmission from when the link actually
 		// freed, not from now: charging the timer-park overshoot to the
@@ -1015,7 +1037,20 @@ func (q *PacedQueue) Inspect(fn func(s *Scheduler)) {
 	}
 }
 
+// inspection is one queued Inspect: the pacing goroutine runs fn, then
+// sends once on done (capacity 1) to release the caller.
+type inspection struct {
+	fn   func(*Scheduler)
+	done chan struct{}
+}
+
 func (sh *shard) inspect(fn func(s *Scheduler)) {
+	sh.inspectWith(fn, make(chan struct{}, 1))
+}
+
+// inspectWith is inspect with a caller-supplied done channel (capacity 1,
+// empty), which is empty again when it returns.
+func (sh *shard) inspectWith(fn func(s *Scheduler), done chan struct{}) {
 	q := sh.q
 	q.mu.Lock()
 	if !q.started || q.stopped {
@@ -1024,31 +1059,28 @@ func (sh *shard) inspect(fn func(s *Scheduler)) {
 		fn(sh.s)
 		return
 	}
-	done := make(chan struct{})
 	sh.inspectPending.Add(1)
 	// Send under q.mu: this orders the send before any Stop (which also
 	// takes q.mu), so the loop's exit drain is guaranteed to see it. A
 	// full channel blocks here, but an earlier Inspect has then already
 	// rung the doorbell, so the loop is on its way to drain.
-	sh.inspectQ <- func() {
-		fn(sh.s)
-		close(done)
-	}
+	sh.inspectQ <- inspection{fn: fn, done: done}
 	q.mu.Unlock()
 	sh.kick()
 	<-done
 }
 
-// serveInspect runs every queued inspection closure, each after a
-// publish so it sees every event so far. Called only from the pacing
-// goroutine (loop body and exit path).
+// serveInspect runs every queued inspection, each after a publish so it
+// sees every event so far. Called only from the pacing goroutine (loop
+// body and exit path).
 func (sh *shard) serveInspect() {
 	for {
 		select {
-		case fn := <-sh.inspectQ:
+		case in := <-sh.inspectQ:
 			sh.inspectPending.Add(-1)
 			sh.s.publish()
-			fn()
+			in.fn(sh.s)
+			in.done <- struct{}{}
 		default:
 			return
 		}
@@ -1253,14 +1285,10 @@ func (q *PacedQueue) EnsureClass(name string) (int, error) {
 	if !ok {
 		return -1, fmt.Errorf("%w: template parent %q", ErrUnknownClass, parent)
 	}
-	id := -1
-	var err error
-	sh.inspect(func(s *Scheduler) {
-		var w *Class
-		if w, err = s.EnsureClass(name, Now(time.Now())); err == nil {
-			id = q.globalID(sh.idx, w.ID())
-		}
-	})
+	sh.ensureName = name
+	sh.inspectWith(sh.ensureFn, sh.ensureDone)
+	id, err := sh.ensureID, sh.ensureErr
+	sh.ensureName, sh.ensureErr = "", nil
 	return id, err
 }
 

@@ -3,6 +3,7 @@ package hfsc_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -435,6 +436,75 @@ func BenchmarkIntakeSubmit(b *testing.B) {
 // the pending inspection itself before parking — otherwise the Inspect
 // waits out the park timer (up to an hour on an idle queue). Back-to-back
 // Inspects on an idle queue hit that window within a few thousand calls.
+// TestPacedQueueFirstPassPaced: cost-denominated work items leave one
+// link time apart from the first pass on, like every later item. Here
+// each item is 40 ms of service on a 32-seat link (4·10⁷ cost units,
+// 1.25 ms of link time), the shape of an hfscmw request, and 16 of them
+// wait for a pass that has measured no item cost yet: queued before
+// Start, or submitted as one batch to a parked queue. That pass must not
+// size a deficit-recovery burst from a guess: a guess of one MTU would
+// turn microseconds of schedule deficit into all 16 items at once.
+func TestPacedQueueFirstPassPaced(t *testing.T) {
+	const (
+		seats = 32
+		items = 16
+		cost  = uint64(40 * time.Millisecond)
+	)
+	run := func(t *testing.T, beforeStart bool) {
+		s := hfsc.New(hfsc.Config{LinkRate: seats * uint64(time.Second)})
+		cl, err := s.AddClass(nil, "work", hfsc.ClassConfig{LinkShare: hfsc.Linear(uint64(time.Second))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		var at []time.Time
+		done := make(chan struct{})
+		q, err := hfsc.NewPacedQueue(s, func(*hfsc.Packet) {
+			mu.Lock()
+			defer mu.Unlock()
+			if at = append(at, time.Now()); len(at) == items {
+				close(done)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := make([]*hfsc.Packet, items)
+		for i := range batch {
+			batch[i] = &hfsc.Packet{Cost: cost, Class: cl.ID()}
+		}
+		if !beforeStart {
+			q.Start()
+			for deadline := time.Now().Add(5 * time.Second); !hfsc.Parked(q); {
+				if time.Now().After(deadline) {
+					t.Fatal("pacing goroutine never parked")
+				}
+				runtime.Gosched()
+			}
+		}
+		if n, r := q.SubmitN(batch); n != items {
+			t.Fatalf("submitted %d of %d: %v", n, items, r)
+		}
+		if beforeStart {
+			q.Start()
+		}
+		defer q.Stop()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("timed out waiting for the queued items")
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		// Paced, the 16th item leaves 15 link times (18.75 ms) after the first.
+		if spread := at[items-1].Sub(at[0]); spread < 15*time.Millisecond {
+			t.Fatalf("%d queued items went out within %v of each other, want >= 15ms (paced: 18.75ms)", items, spread)
+		}
+	}
+	t.Run("queued-before-start", func(t *testing.T) { run(t, true) })
+	t.Run("batch-to-parked-queue", func(t *testing.T) { run(t, false) })
+}
+
 func TestPacedQueueInspectWakeup(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
