@@ -6,13 +6,15 @@
 // absolute per-op budget at 100k resident classes, the steady-state
 // ns/pkt with 100k mostly-idle classes must stay within 10% of the
 // 4096-class all-active figure, and rows with a frozen baseline get the
-// usual fractional regression gate.
+// usual fractional regression gate. Each resident size also reports the
+// heap the resident classes hold per class (not gated).
 package main
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"time"
 
 	hfsc "github.com/netsched/hfsc"
@@ -29,11 +31,9 @@ const churnAbsBudgetNs = 10_000
 // figure by at most this fraction.
 const churnIdleTolerance = 0.10
 
-// measureChurn times AddClass and RemoveClass through the public admin
-// API with `resident` other classes already in place — name registries,
-// arena recycling and curve setup included, the path a tenant-churning
-// control plane actually pays.
-func measureChurn(resident, ops int) (addNs, removeNs float64) {
+// residentScheduler builds a scheduler holding `resident` real-time
+// leaves, and returns it with the class configuration they share.
+func residentScheduler(resident int) (*hfsc.Scheduler, hfsc.ClassConfig) {
 	s := hfsc.New(hfsc.Config{LinkRate: 10 * hfsc.Gbps})
 	rate := 10 * hfsc.Gbps / uint64(resident+1)
 	if rate == 0 {
@@ -48,6 +48,15 @@ func measureChurn(resident, ops int) (addNs, removeNs float64) {
 			panic(err)
 		}
 	}
+	return s, cfg
+}
+
+// measureChurn times AddClass and RemoveClass through the public admin
+// API with `resident` other classes already in place — name registries,
+// arena recycling and curve setup included, the path a tenant-churning
+// control plane actually pays.
+func measureChurn(resident, ops int) (addNs, removeNs float64) {
+	s, cfg := residentScheduler(resident)
 	const batch = 1024
 	names := make([]string, batch)
 	for j := range names {
@@ -79,6 +88,24 @@ func measureChurn(resident, ops int) (addNs, removeNs float64) {
 		done += b
 	}
 	return float64(addT.Nanoseconds()) / float64(ops), float64(remT.Nanoseconds()) / float64(ops)
+}
+
+// measureResidentHeap returns the live heap, per class, that a scheduler
+// holding `resident` classes keeps after a GC.
+func measureResidentHeap(resident int) float64 {
+	base := liveHeap()
+	s, _ := residentScheduler(resident)
+	held := liveHeap() - base
+	runtime.KeepAlive(s)
+	return float64(held) / float64(resident)
+}
+
+// liveHeap returns the bytes in live heap objects after a full GC.
+func liveHeap() int64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
 }
 
 // measureSteadyIdle is the hot-path tax probe: `total` resident leaves of
@@ -165,9 +192,11 @@ func churnMain(ops int, jsonPath string, check bool, tolerance float64) {
 		results = append(results, Result{Name: name, Classes: classes, NsPerPkt: ns, AllocsPerPkt: allocs})
 	}
 
-	tbl := &stats.Table{Header: []string{"resident classes", "add", "remove", fmt.Sprintf("steady (%d active)", activeSet)}}
+	tbl := &stats.Table{Header: []string{"resident classes", "add", "remove", fmt.Sprintf("steady (%d active)", activeSet), "resident heap"}}
 	var add100k, rem100k, steady100k float64
-	for _, n := range []int{4096, bigResident} {
+	sizes := []int{4096, bigResident}
+	var rows [][]string
+	for _, n := range sizes {
 		// Best of 3, like every other gated row: single-run admin-path
 		// timings swing with GC phase far beyond the gate tolerance.
 		addNs, remNs := measureChurn(n, churnOps)
@@ -190,10 +219,15 @@ func churnMain(ops int, jsonPath string, check bool, tolerance float64) {
 		if n == bigResident {
 			add100k, rem100k, steady100k = addNs, remNs, steadyNs
 		}
-		tbl.AddRow(fmt.Sprintf("%d", n),
+		rows = append(rows, []string{fmt.Sprintf("%d", n),
 			fmt.Sprintf("%.0f ns/op", addNs),
 			fmt.Sprintf("%.0f ns/op", remNs),
-			fmt.Sprintf("%.0f ns/pkt", steadyNs))
+			fmt.Sprintf("%.0f ns/pkt", steadyNs)})
+	}
+	// The heap column is measured once per size after every timed pass,
+	// so its forced GCs never precede one.
+	for i, n := range sizes {
+		tbl.AddRow(append(rows[i], fmt.Sprintf("%.0f B/class", measureResidentHeap(n)))...)
 	}
 	fmt.Printf("TBL-O6: class-churn overhead (add/remove one leaf via the admin API; steady state drives %d of the resident classes)\n\n", activeSet)
 	if err := tbl.Write(os.Stdout); err != nil {

@@ -237,19 +237,22 @@ type ClassStats struct {
 
 // Scheduler is an H-FSC scheduler for one link.
 type Scheduler struct {
-	cfg     Config
-	core    *core.Scheduler
-	agg     *metrics.Aggregator // nil unless Config.Metrics
-	rec     *flight.Recorder    // nil unless Config.Flight
-	aud     *audit.Auditor      // nil unless Config.Audit
-	byName  map[string]*Class
-	wrapped map[*core.Class]*Class
+	cfg  Config
+	core *core.Scheduler
+	agg  *metrics.Aggregator // nil unless Config.Metrics
+	rec  *flight.Recorder    // nil unless Config.Flight
+	aud  *audit.Auditor      // nil unless Config.Audit
+	// root is the root class's handle; it has no entry in names.
+	root *Class
 	// tpls are the registered class templates (longest prefix wins); lc
 	// tracks classes enrolled in idle collection. Owner-serialized like
 	// all scheduling state.
 	tpls []tplRule
 	lc   map[int]*lcEntry
-	// names mirrors byName as name → id for lock-free ClassID resolution
+	// names is the one name index: class name → handle for every live
+	// class but the root. The owner resolves names through it (Class,
+	// EnsureClass, the AddClass duplicate check), handles are found from
+	// their core class through it (wrap), and ClassID reads it lock-free
 	// from submitter goroutines; it is the only cross-goroutine-readable
 	// piece of Scheduler state.
 	names sync.Map
@@ -276,11 +279,7 @@ type Scheduler struct {
 
 // New creates a scheduler.
 func New(cfg Config) *Scheduler {
-	s := &Scheduler{
-		cfg:     cfg,
-		byName:  map[string]*Class{},
-		wrapped: map[*core.Class]*Class{},
-	}
+	s := &Scheduler{cfg: cfg}
 	opts := core.Options{DefaultQueueLimit: cfg.DefaultQueueLimit}
 	var sinks []core.Sink
 	if cfg.Metrics {
@@ -300,6 +299,7 @@ func New(cfg Config) *Scheduler {
 		opts.Tracer = s.stage
 	}
 	s.core = core.New(opts)
+	s.root = &Class{c: s.core.Root(), sched: s}
 	if cfg.Backend == BackendAuto {
 		s.fast = hls.New(cfg.DefaultQueueLimit)
 	}
@@ -339,23 +339,29 @@ func WriteFlightEvents(w io.Writer, recs []FlightRecord, nameFn func(class int32
 	return flight.WriteEvents(w, recs, nameFn)
 }
 
+// wrap returns the handle of a live core class (nil for nil): the root's
+// own, or the one the name index holds under the class's name — names are
+// unique among live classes, so that entry is this class's.
 func (s *Scheduler) wrap(c *core.Class) *Class {
 	if c == nil {
 		return nil
 	}
-	if w, ok := s.wrapped[c]; ok {
-		return w
+	if c == s.root.c {
+		return s.root
 	}
-	w := &Class{c: c, sched: s}
-	s.wrapped[c] = w
-	return w
+	return s.Class(c.Name())
 }
 
 // Root returns the implicit root class.
-func (s *Scheduler) Root() *Class { return s.wrap(s.core.Root()) }
+func (s *Scheduler) Root() *Class { return s.root }
 
 // Class returns the class with the given name, or nil.
-func (s *Scheduler) Class(name string) *Class { return s.byName[name] }
+func (s *Scheduler) Class(name string) *Class {
+	if v, ok := s.names.Load(name); ok {
+		return v.(*Class)
+	}
+	return nil
+}
 
 // Classes returns every class in creation order, root first.
 func (s *Scheduler) Classes() []*Class {
@@ -370,7 +376,7 @@ func (s *Scheduler) Classes() []*Class {
 // AddClass creates a class under parent (nil = root). Names must be
 // unique.
 func (s *Scheduler) AddClass(parent *Class, name string, cfg ClassConfig) (*Class, error) {
-	if _, dup := s.byName[name]; dup {
+	if _, dup := s.names.Load(name); dup {
 		return nil, fmt.Errorf("%w %q", ErrDuplicateClass, name)
 	}
 	var pc *core.Class
@@ -394,9 +400,8 @@ func (s *Scheduler) AddClass(parent *Class, name string, cfg ClassConfig) (*Clas
 	s.countCurved(cfg.RealTime, cfg.UpperLimit, +1)
 	s.autoResolve()
 	s.place(c, c.Parent(), true)
-	w := s.wrap(c)
-	s.byName[name] = w
-	s.names.Store(name, c.ID())
+	w := &Class{c: c, sched: s}
+	s.names.Store(name, w)
 	return w, nil
 }
 
@@ -440,14 +445,10 @@ func (s *Scheduler) RemoveClass(cl *Class) error {
 	}
 	s.countCurved(cl.c.RSC(), cl.c.USC(), -1)
 	s.autoResolve()
-	// Drop the name binding only if it still points at this wrapper: a
+	// Drop the name binding only if it still points at this handle: a
 	// same-named class re-added after an earlier removal owns the entry.
-	if s.byName[cl.c.Name()] == cl {
-		delete(s.byName, cl.c.Name())
-	}
-	s.names.CompareAndDelete(cl.c.Name(), cl.c.ID())
+	s.names.CompareAndDelete(cl.c.Name(), cl)
 	delete(s.lc, cl.c.ID())
-	delete(s.wrapped, cl.c)
 	return nil
 }
 

@@ -10,10 +10,11 @@ import (
 // Allocation budgets of the admission path, with metrics and auditing on:
 // a warm Admit+Finish allocates only its Ticket, and a tenant's whole
 // life — created on its first request, admitted, finished and evicted —
-// stays within a fixed number of objects.
+// stays within a fixed number of objects (13 measured: removing the
+// tenant's class allocates nothing).
 const (
 	admitAllocsMax = 1
-	cycleAllocsMax = 20
+	cycleAllocsMax = 13
 )
 
 func TestAdmitAllocs(t *testing.T) {

@@ -15,8 +15,10 @@ import (
 // becomes a leaf and may carry traffic again if it has the curves to do
 // so. The class's hot-arena slot is recycled onto a free list for the next
 // AddClass, so sustained churn does not grow the arena; the stale *Class
-// is re-pointed at a private zeroed record so accessors held across the
-// removal read zeros instead of another class's live state.
+// is re-pointed at the scheduler's shared removed-class record, so
+// accessors held across the removal read zeros instead of another class's
+// live state, and removal allocates nothing. Its curve specifications stay
+// readable (RSC, FSC, USC).
 func (s *Scheduler) RemoveClass(cl *Class) error {
 	if cl == nil || cl == s.root {
 		return fmt.Errorf("core: cannot remove the root class: %w", ErrRootClass)
@@ -35,11 +37,17 @@ func (s *Scheduler) RemoveClass(cl *Class) error {
 		return fmt.Errorf("core: class %q: %w", cl.name, ErrClassActive)
 	}
 	p := cl.parent
+	// The parent keeps the removed class's service on its books (its
+	// virtual time stays put), so its total no longer equals its
+	// children's sum.
+	if h.total > 0 {
+		p.surplus = true
+	}
 	// Swap-remove by the stored slot index: sibling order carries no
 	// scheduling meaning (all ordering lives in the vt tree), so the
 	// last child can take the vacated slot and removal stays O(1) even
 	// under a 100k-wide fanout.
-	i, last := cl.childIdx, len(p.child)-1
+	i, last := cl.childIdx, int32(len(p.child)-1)
 	p.child[i] = p.child[last]
 	p.child[i].childIdx = i
 	p.child[last] = nil
@@ -47,9 +55,10 @@ func (s *Scheduler) RemoveClass(cl *Class) error {
 	if len(p.child) == 0 {
 		p.hot.leaf = true
 	}
-	*h = hot{leaf: true, myf: noFit, f: noFit, cfmin: noFit}
+	*h = s.removedHot
 	s.freeHots = append(s.freeHots, h)
-	cl.hot = &hot{cl: cl, id: int32(cl.id), leaf: true, myf: noFit, f: noFit, cfmin: noFit}
+	cl.hot = &s.removedHot
+	cl.sentPkt = 0
 	s.classes[cl.id] = nil
 	cl.parent = nil
 	return nil
@@ -98,21 +107,14 @@ func (s *Scheduler) SetCurves(cl *Class, rsc, fsc, usc curve.SC, now int64) erro
 		return fmt.Errorf("core: class %q: curve presence can only change while passive: %w", cl.name, ErrClassActive)
 	}
 	h := cl.hot
-	cl.rsc, cl.fsc, cl.usc = rsc, fsc, usc
 	cl.curveGen++
-	cl.hasRSC, cl.hasFSC, cl.hasUSC = !rsc.IsZero(), !fsc.IsZero(), !usc.IsZero()
-	if cl.hasRSC {
-		cl.deadline.Init(rsc, now, h.cumul)
-		cl.eligible = cl.deadline
-		if rsc.M1 <= rsc.M2 {
-			cl.eligible.Dx = 0
-			cl.eligible.Dy = 0
-		}
-		if active && cl.IsLeaf() && cl.queue.Len() > 0 {
-			h.e = cl.eligible.Y2X(h.cumul)
-			h.d = cl.deadline.Y2X(h.cumul + cl.queue.Front().Work())
-			s.el.update(h)
-		}
+	// Side records are created or dropped here when presence flips (only
+	// on a passive class), and rewritten in place otherwise.
+	cl.setRSC(rsc, now, h.cumul)
+	cl.setUSC(usc, now, h.total)
+	cl.fsc, cl.hasFSC = fsc, !fsc.IsZero()
+	if cl.hasRSC && active { // only leaves carry a real-time curve
+		s.updateED(cl, cl.queue.Front().Work(), now)
 	}
 	if cl.hasFSC {
 		// Anchoring at (vt, total) leaves the class's virtual time — and so
@@ -120,12 +122,9 @@ func (s *Scheduler) SetCurves(cl *Class, rsc, fsc, usc curve.SC, now int64) erro
 		// ahead of the anchor moves.
 		cl.virtual.Init(fsc, h.vt, h.total)
 	}
-	if cl.hasUSC {
-		cl.ulimit.Init(usc, now, h.total)
-	}
 	if active {
 		if cl.hasUSC {
-			h.myf = cl.ulimit.Y2X(h.total)
+			h.myf = cl.ul.ulimit.Y2X(h.total)
 		} else {
 			h.myf = noFit
 		}
@@ -148,6 +147,13 @@ func (s *Scheduler) CheckInvariants() error {
 	fitMembers := 0
 	var walk func(c *Class) (activeLeaves int, err error)
 	walk = func(c *Class) (int, error) {
+		// The side records exist exactly for the curves the class has.
+		if (c.rt != nil) != c.hasRSC || (c.rt != nil && c.rt.sc.IsZero()) {
+			return 0, fmt.Errorf("class %q real-time record present=%v but hasRSC=%v", c.name, c.rt != nil, c.hasRSC)
+		}
+		if (c.ul != nil) != c.hasUSC || (c.ul != nil && c.ul.sc.IsZero()) {
+			return 0, fmt.Errorf("class %q upper-limit record present=%v but hasUSC=%v", c.name, c.ul != nil, c.hasUSC)
+		}
 		if c.IsLeaf() {
 			backlog += c.queue.Len()
 			active := 0
@@ -212,7 +218,7 @@ func (s *Scheduler) CheckInvariants() error {
 				}
 			}
 			// The hot record must point back at its class (arena wiring).
-			if hc.cl != ch || int(hc.id) != ch.id {
+			if hc.cl != ch || hc.id != ch.id {
 				return 0, fmt.Errorf("class %q hot record mislinked (cl=%p id=%d)", ch.name, hc.cl, hc.id)
 			}
 			// The global fit index holds exactly the active classes with a
@@ -237,14 +243,12 @@ func (s *Scheduler) CheckInvariants() error {
 		if int(c.hot.nactive) != activeChildren {
 			return 0, fmt.Errorf("class %q nactive=%d but %d active children", c.name, c.hot.nactive, activeChildren)
 		}
-		if c.vttree.n != activeChildren {
-			return 0, fmt.Errorf("class %q vt tree size %d vs %d active children",
-				c.name, c.vttree.n, activeChildren)
-		}
 		// An interior class's total equals the sum of its children's
-		// totals (service is only ever charged through leaves).
-		if c != s.root && c.hot.total != childTotals {
-			return 0, fmt.Errorf("class %q total %d != children sum %d", c.name, c.hot.total, childTotals)
+		// totals (service is only ever charged through leaves). Removal
+		// leaves the parent's account, and so its virtual time, untouched:
+		// a class that lost a served child holds at least the sum.
+		if c != s.root && c.hot.total != childTotals && (!c.surplus || c.hot.total < childTotals) {
+			return 0, fmt.Errorf("class %q total %d vs children sum %d (surplus=%v)", c.name, c.hot.total, childTotals, c.surplus)
 		}
 		// cfmin is the minimum f over the active children, found here by a
 		// linear scan rather than read off the tree (noFit when no active

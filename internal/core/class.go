@@ -43,12 +43,14 @@ import (
 //	line 1 — comparator fields: everything the tree orderings (vt, e, d, f)
 //	         and the firstFit/minDeadline descents read;
 //	line 2 — accounting updated by the service cascades (totals, periods,
-//	         virtual-time watermarks) plus the back-pointer to the Class;
+//	         virtual-time watermarks), the back-pointer to the Class and
+//	         the flags;
 //	line 3 — container state: the vt-tree links and subtree min-fit, the
-//	         other containers' handles (fit index, eligible list).
+//	         other containers' handles (fit index, eligible list), and the
+//	         leaf's per-criterion work counters, written on every dequeue.
 //
-// The size is asserted to stay a multiple of 64 so records never straddle
-// line boundaries within a block.
+// The size is asserted to be exactly three lines, so records never
+// straddle line boundaries within a block.
 type hot struct {
 	// Line 1: selection state.
 	vt      int64 // virtual time (virtual start of head packet)
@@ -61,7 +63,7 @@ type hot struct {
 	id      int32 // class id, the deterministic tie-break everywhere
 	nactive int32 // number of active children (for a leaf: 0/1)
 
-	// Line 2: service accounting and backlog-period state.
+	// Line 2: service accounting, backlog-period state and flags.
 	total        int64  // bytes served under both criteria
 	cumul        int64  // bytes served under the real-time criterion
 	cvtmin       int64  // watermark: largest vt selected this period
@@ -70,59 +72,135 @@ type hot struct {
 	period       uint64 // backlog-period sequence number
 	cl           *Class // the cold half
 	cvtminSet    bool   // whether any selection happened this period
-	leaf         bool   // mirrors len(cl.child) == 0 for the minVT walk
-	_            [6]byte
+	leaf         bool   // mirrors len(cl.child) == 0 for the minVT walk and Enqueue
+	vred         bool   // vt-tree colour: red
+	inVT         bool   // member of the parent's vt tree (active)
+	_            [4]byte
 
-	// Line 3: container state.
+	// Line 3: container state and leaf statistics.
 	vl, vr, vp *hot               // links in the parent's vt tree (see vtTree)
 	vaug       int64              // min f over this record's vt subtree
 	fitnode    *rbtree.Node[*hot] // position in the scheduler's fit index
 	elnode     *rbtree.Node[*hot] // position in the eligible list
-	vred       bool               // vt-tree colour: red
-	inVT       bool               // member of the parent's vt tree (active)
-	_          [14]byte
+	rtWork     int64              // bytes served by the real-time criterion
+	lsWork     int64              // bytes served by the link-sharing criterion
 }
 
-// Compile-time assertion: hot must stay a multiple of the cache-line size.
-const _ = -(unsafe.Sizeof(hot{}) % 64)
+// Compile-time assertions: hot is exactly three cache lines, and Class
+// fits the 256-byte size class (a multiple of the line size, so the
+// allocator hands out line-aligned objects).
+const (
+	_ = -(unsafe.Sizeof(hot{}) ^ 192)
+	_ = uint(256 - unsafe.Sizeof(Class{}))
+)
 
 // Class is one node of the link-sharing hierarchy. Create classes with
 // Scheduler.AddClass; all fields are managed by the scheduler. The state
 // touched per packet lives in the hot record; Class keeps the identity,
 // configuration, queue and statistics.
+//
+// The record is 256 bytes, four cache lines in the order the enqueue and
+// dequeue cascades read them: line 1 holds what every ancestor level of a
+// cascade touches (links, flags, the link-sharing spec, the children's vt
+// tree, the upper-limit record), line 2 the virtual curve, the real-time
+// record and the packet counter, lines 3–4 the queue; the name and the
+// child slice, read only by configuration and diagnostics, close the
+// record. The real-time curves
+// (rsc with the eligible and deadline runtime curves) and the upper-limit
+// curves (usc with its runtime curve) live in side records that only
+// classes carrying those curves allocate — the paper keeps E and D for
+// real-time leaves only.
 type Class struct {
-	id       int
-	name     string
-	parent   *Class
-	child    []*Class
-	childIdx int // this class's slot in parent.child (O(1) removal)
-	hot      *hot
-
-	rsc, fsc, usc          curve.SC
+	// Line 1: cascade links and link-sharing configuration.
+	parent                 *Class
+	hot                    *hot
+	vttree                 vtTree // state as a parent: the active children ordered by vt
+	ul                     *ulState
 	hasRSC, hasFSC, hasUSC bool
-	curveGen               uint64 // bumped by every SetCurves
+	id                     int32
+	fsc                    curve.SC
 
-	queue pktq.FIFO // leaf classes only
+	// Line 2: the virtual curve V (maps virtual time to total service,
+	// refined at every activation with the Fig. 8 min-update), the
+	// real-time side record and the packet counter.
+	virtual curve.RTSC
+	rt      *rtState
+	sentPkt uint64
 
-	// Runtime curves (refined at every activation with the Fig. 8
-	// min-update).
+	// Lines 3–4: the leaf queue (leaf classes only).
+	queue pktq.FIFO
+
+	// Configuration and hierarchy, off the per-packet path.
+	name     string
+	child    []*Class
+	curveGen uint64 // bumped by every SetCurves
+	childIdx int32  // this class's slot in parent.child (O(1) removal)
+	// surplus marks a class that lost a served child to RemoveClass: its
+	// total then exceeds its children's sum by that child's service.
+	surplus bool
+}
+
+// rtState is the real-time side record of a class with a real-time curve:
+// its specification and the eligible and deadline runtime curves, refined
+// at every activation with the Fig. 8 min-update.
+type rtState struct {
+	sc       curve.SC
 	eligible curve.RTSC // E: bounds service claimable via the RT criterion
 	deadline curve.RTSC // D: service the guarantees require over time
-	virtual  curve.RTSC // V: maps virtual time to total service
-	ulimit   curve.RTSC // U: caps total service over time
+}
 
-	// State as a parent: the active children ordered by vt.
-	vttree vtTree
+// deriveEligible sets E from D: equal for concave curves; for convex (or
+// linear) ones the slope-m2 line through D's anchor (Section IV-B).
+func (rt *rtState) deriveEligible() {
+	rt.eligible = rt.deadline
+	if rt.sc.M1 <= rt.sc.M2 {
+		rt.eligible.Dx = 0
+		rt.eligible.Dy = 0
+	}
+}
 
-	// Statistics.
-	rtWork  int64 // bytes served by the real-time criterion
-	lsWork  int64 // bytes served by the link-sharing criterion
-	sentPkt uint64
+// ulState is the upper-limit side record of a class with an upper-limit
+// curve: its specification and the runtime curve U capping total service.
+type ulState struct {
+	sc     curve.SC
+	ulimit curve.RTSC
+}
+
+// setRSC installs the real-time curve sc, anchoring D and E at (x, y), or
+// drops the real-time side record when sc is zero. An existing record is
+// rewritten in place, so retuning allocates nothing.
+func (c *Class) setRSC(sc curve.SC, x, y int64) {
+	c.hasRSC = !sc.IsZero()
+	if !c.hasRSC {
+		c.rt = nil
+		return
+	}
+	if c.rt == nil {
+		c.rt = new(rtState)
+	}
+	c.rt.sc = sc
+	c.rt.deadline.Init(sc, x, y)
+	c.rt.deriveEligible()
+}
+
+// setUSC installs the upper-limit curve sc, anchoring U at (x, y), or
+// drops the upper-limit side record when sc is zero.
+func (c *Class) setUSC(sc curve.SC, x, y int64) {
+	c.hasUSC = !sc.IsZero()
+	if !c.hasUSC {
+		c.ul = nil
+		return
+	}
+	if c.ul == nil {
+		c.ul = new(ulState)
+	}
+	c.ul.sc = sc
+	c.ul.ulimit.Init(sc, x, y)
 }
 
 // ID returns the class's scheduler-assigned identifier, used as
 // Packet.Class for leaves.
-func (c *Class) ID() int { return c.id }
+func (c *Class) ID() int { return int(c.id) }
 
 // Name returns the class's configured name.
 func (c *Class) Name() string { return c.name }
@@ -140,7 +218,12 @@ func (c *Class) IsLeaf() bool { return len(c.child) == 0 }
 
 // RSC returns the class's real-time service curve specification (zero if
 // none).
-func (c *Class) RSC() curve.SC { return c.rsc }
+func (c *Class) RSC() curve.SC {
+	if c.rt == nil {
+		return curve.SC{}
+	}
+	return c.rt.sc
+}
 
 // CurveGen returns the class's curve generation: it changes whenever
 // SetCurves replaces the curves, so a reader can tell a retune from one
@@ -150,19 +233,25 @@ func (c *Class) CurveGen() uint64 { return c.curveGen }
 // FSC returns the class's link-sharing service curve specification.
 func (c *Class) FSC() curve.SC { return c.fsc }
 
-// USC returns the class's upper-limit service curve specification.
-func (c *Class) USC() curve.SC { return c.usc }
+// USC returns the class's upper-limit service curve specification (zero if
+// none).
+func (c *Class) USC() curve.SC {
+	if c.ul == nil {
+		return curve.SC{}
+	}
+	return c.ul.sc
+}
 
 // Total returns the bytes this class (subtree) has been served in total.
 func (c *Class) Total() int64 { return c.hot.total }
 
 // RealTimeWork returns the bytes served to this leaf under the real-time
 // criterion.
-func (c *Class) RealTimeWork() int64 { return c.rtWork }
+func (c *Class) RealTimeWork() int64 { return c.hot.rtWork }
 
 // LinkShareWork returns the bytes served to this leaf under the
 // link-sharing criterion.
-func (c *Class) LinkShareWork() int64 { return c.lsWork }
+func (c *Class) LinkShareWork() int64 { return c.hot.lsWork }
 
 // VirtualTime returns the class's current virtual time (diagnostic; only
 // meaningful relative to active siblings).

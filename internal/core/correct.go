@@ -47,8 +47,9 @@ func (s *Scheduler) Correct(cl *Class, estimated, actual int64, crit pktq.Criter
 	delta := actual - estimated
 	h := cl.hot
 	// Never uncharge more than the class has on its books. Each leaf is
-	// clamped at zero individually, and interior totals are sums of leaf
-	// totals, so the whole hierarchy stays nonnegative.
+	// clamped at zero individually, and an interior total is the sum of
+	// its children's totals (plus, after RemoveClass of a served child,
+	// that child's service), so the whole hierarchy stays nonnegative.
 	if delta < 0 {
 		if -delta > h.total {
 			delta = -h.total
@@ -56,8 +57,8 @@ func (s *Scheduler) Correct(cl *Class, estimated, actual int64, crit pktq.Criter
 		if crit == pktq.ByRealTime && -delta > h.cumul {
 			delta = -h.cumul
 		}
-		if crit == pktq.ByLinkShare && -delta > cl.lsWork {
-			delta = -cl.lsWork
+		if crit == pktq.ByLinkShare && -delta > h.lsWork {
+			delta = -h.lsWork
 		}
 	}
 	if delta == 0 {
@@ -85,13 +86,13 @@ func (s *Scheduler) Correct(cl *Class, estimated, actual int64, crit pktq.Criter
 		}
 		s.repositionVT(c)
 		if c.hasUSC {
-			ch.myf = c.ulimit.Y2X(ch.total)
+			ch.myf = c.ul.ulimit.Y2X(ch.total)
 		}
 		s.refreshF(c)
 	}
 
 	if crit == pktq.ByRealTime {
-		cl.rtWork += delta
+		h.rtWork += delta
 		if cl.hasRSC {
 			h.cumul += delta
 			// A backlogged leaf sits in the eligible list keyed by curves
@@ -102,7 +103,7 @@ func (s *Scheduler) Correct(cl *Class, estimated, actual int64, crit pktq.Criter
 			}
 		}
 	} else {
-		cl.lsWork += delta
+		h.lsWork += delta
 	}
 
 	s.trace(EvCorrect, cl, nil, now, delta)

@@ -25,20 +25,20 @@ func (s *Scheduler) DumpTree(w io.Writer) error {
 		} else {
 			var curves []string
 			if c.hasRSC {
-				curves = append(curves, "rt="+c.rsc.String())
+				curves = append(curves, "rt="+c.rt.sc.String())
 			}
 			if c.hasFSC {
 				curves = append(curves, "ls="+c.fsc.String())
 			}
 			if c.hasUSC {
-				curves = append(curves, "ul="+c.usc.String())
+				curves = append(curves, "ul="+c.ul.sc.String())
 			}
 			if _, err := fmt.Fprintf(w, "%s%s [%s] %s\n", indent, c.name, state, strings.Join(curves, " ")); err != nil {
 				return err
 			}
 			if c.IsLeaf() {
 				if _, err := fmt.Fprintf(w, "%s  sent=%d total=%dB rt=%dB ls=%dB queued=%d/%dB dropped=%d\n",
-					indent, c.sentPkt, c.hot.total, c.rtWork, c.lsWork,
+					indent, c.sentPkt, c.hot.total, c.hot.rtWork, c.hot.lsWork,
 					c.queue.Len(), c.queue.Bytes(), c.queue.Dropped()); err != nil {
 					return err
 				}

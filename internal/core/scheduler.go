@@ -77,11 +77,17 @@ type Scheduler struct {
 	// churn reuses slots instead of growing the arena without bound. Class
 	// ids are never reused — only the backing records.
 	freeHots []*hot
+	// removedHot is the record every removed class points at, so accessors
+	// on a stale *Class read zeros (and "no fit") rather than the state of
+	// whichever class recycles its slot. Nothing writes it: every mutating
+	// path refuses a removed class before touching its hot record.
+	removedHot hot
 }
 
 // New creates a scheduler with an implicit root class.
 func New(opts Options) *Scheduler {
 	s := &Scheduler{opts: opts, el: newElAugTree()}
+	s.removedHot = hot{leaf: true, myf: noFit, f: noFit, cfmin: noFit}
 	s.fittree = rbtree.New[*hot](fitLess, nil)
 	s.root = &Class{id: 0, name: "root"}
 	s.root.hot = s.allocHot(s.root)
@@ -96,7 +102,7 @@ func (s *Scheduler) allocHot(cl *Class) *hot {
 	}
 	bi := len(s.hotBlocks) - 1
 	s.hotBlocks[bi] = append(s.hotBlocks[bi], hot{
-		cl: cl, id: int32(cl.id), leaf: true,
+		cl: cl, id: cl.id, leaf: true,
 		myf: noFit, f: noFit, cfmin: noFit,
 	})
 	return &s.hotBlocks[bi][len(s.hotBlocks[bi])-1]
@@ -162,17 +168,20 @@ func (s *Scheduler) AddClass(parent *Class, name string, rsc, fsc, usc curve.SC)
 	if rsc.IsZero() && fsc.IsZero() {
 		return nil, fmt.Errorf("core: class %q needs a real-time or link-sharing curve", name)
 	}
+	if len(s.classes) > math.MaxInt32 {
+		return nil, fmt.Errorf("core: class %q: class ids exhausted", name)
+	}
 	cl := &Class{
-		id:     len(s.classes),
+		id:     int32(len(s.classes)),
 		name:   name,
 		parent: parent,
-		rsc:    rsc, fsc: fsc, usc: usc,
-		hasRSC: !rsc.IsZero(), hasFSC: !fsc.IsZero(), hasUSC: !usc.IsZero(),
+		fsc:    fsc,
+		hasFSC: !fsc.IsZero(),
 	}
 	if n := len(s.freeHots); n > 0 {
 		h := s.freeHots[n-1]
 		s.freeHots = s.freeHots[:n-1]
-		h.cl, h.id = cl, int32(cl.id)
+		h.cl, h.id = cl, cl.id
 		cl.hot = h
 	} else {
 		cl.hot = s.allocHot(cl)
@@ -181,17 +190,12 @@ func (s *Scheduler) AddClass(parent *Class, name string, rsc, fsc, usc curve.SC)
 	// Seed the runtime curves from the specifications at the origin; every
 	// later activation refines them with the Fig. 8 min-update, which
 	// assumes slopes were established here.
-	if cl.hasRSC {
-		cl.deadline.Init(rsc, 0, 0)
-		cl.eligible = cl.deadline
-	}
+	cl.setRSC(rsc, 0, 0)
+	cl.setUSC(usc, 0, 0)
 	if cl.hasFSC {
 		cl.virtual.Init(fsc, 0, 0)
 	}
-	if cl.hasUSC {
-		cl.ulimit.Init(usc, 0, 0)
-	}
-	cl.childIdx = len(parent.child)
+	cl.childIdx = int32(len(parent.child))
 	parent.child = append(parent.child, cl)
 	parent.hot.leaf = false
 	s.classes = append(s.classes, cl)
@@ -204,7 +208,7 @@ func (s *Scheduler) Backlog() int { return s.backlog }
 // Enqueue implements sched.Scheduler.
 func (s *Scheduler) Enqueue(p *pktq.Packet, now int64) bool {
 	cl := s.ClassByID(p.Class)
-	if cl == nil || !cl.IsLeaf() || cl == s.root {
+	if cl == nil || !cl.hot.leaf || cl == s.root {
 		panic(fmt.Sprintf("core: enqueue to invalid class %d", p.Class))
 	}
 	if p.Work() <= 0 {
@@ -273,7 +277,7 @@ func (s *Scheduler) dequeueOne(now int64) *pktq.Packet {
 			// traffic. If active link-sharing classes exist, the refusal is
 			// an upper-limit deferral — an observable non-work-conserving
 			// moment worth reporting.
-			if s.opts.Tracer != nil && s.root.vttree.n > 0 {
+			if s.opts.Tracer != nil && s.root.vttree.root != nil {
 				f, _ := s.minFitAfter(now)
 				s.trace(EvUlimitDefer, s.root, nil, now, f)
 			}
@@ -288,7 +292,7 @@ func (s *Scheduler) dequeueOne(now int64) *pktq.Packet {
 	if realtime {
 		p.Crit = pktq.ByRealTime
 		p.Deadline = h.d
-		cl.rtWork += length
+		h.rtWork += length
 		slack := h.d - now
 		s.trace(EvDequeueRT, cl, p, now, slack)
 		if slack < 0 {
@@ -296,7 +300,7 @@ func (s *Scheduler) dequeueOne(now int64) *pktq.Packet {
 		}
 	} else {
 		p.Crit = pktq.ByLinkShare
-		cl.lsWork += length
+		h.lsWork += length
 		s.trace(EvDequeueLS, cl, p, now, 0)
 	}
 	cl.sentPkt++
@@ -436,27 +440,20 @@ func (s *Scheduler) minFitAfterRef(now int64) (int64, bool) {
 // initED establishes the eligible and deadline curves when a leaf becomes
 // active (the paper's Fig. 5(a) update_ed at activation).
 func (s *Scheduler) initED(cl *Class, nextLen, now int64) {
-	h := cl.hot
-	cl.deadline.Min(cl.rsc, now, h.cumul)
-	// The eligible curve equals the deadline curve for concave curves;
-	// for convex (or linear) ones it is the slope-m2 line through the
-	// deadline curve's anchor (Section IV-B).
-	cl.eligible = cl.deadline
-	if cl.rsc.M1 <= cl.rsc.M2 {
-		cl.eligible.Dx = 0
-		cl.eligible.Dy = 0
-	}
-	h.e = cl.eligible.Y2X(h.cumul)
-	h.d = cl.deadline.Y2X(h.cumul + nextLen)
+	h, rt := cl.hot, cl.rt
+	rt.deadline.Min(rt.sc, now, h.cumul)
+	rt.deriveEligible()
+	h.e = rt.eligible.Y2X(h.cumul)
+	h.d = rt.deadline.Y2X(h.cumul + nextLen)
 	s.el.insert(h)
 }
 
 // updateED recomputes the eligible time and deadline after real-time
 // service.
 func (s *Scheduler) updateED(cl *Class, nextLen, now int64) {
-	h := cl.hot
-	h.e = cl.eligible.Y2X(h.cumul)
-	h.d = cl.deadline.Y2X(h.cumul + nextLen)
+	h, rt := cl.hot, cl.rt
+	h.e = rt.eligible.Y2X(h.cumul)
+	h.d = rt.deadline.Y2X(h.cumul + nextLen)
 	s.el.update(h)
 }
 
@@ -466,7 +463,7 @@ func (s *Scheduler) updateED(cl *Class, nextLen, now int64) {
 // different length (the paper's Fig. 5(b)).
 func (s *Scheduler) updateD(cl *Class, nextLen, now int64) {
 	h := cl.hot
-	h.d = cl.deadline.Y2X(h.cumul + nextLen)
+	h.d = cl.rt.deadline.Y2X(h.cumul + nextLen)
 	s.el.update(h)
 }
 
@@ -535,8 +532,9 @@ func (s *Scheduler) activate(cl *Class, now int64) {
 	h.parentPeriod = ph.period
 
 	if cl.hasUSC {
-		cl.ulimit.Min(cl.usc, now, h.total)
-		h.myf = cl.ulimit.Y2X(h.total)
+		ul := cl.ul
+		ul.ulimit.Min(ul.sc, now, h.total)
+		h.myf = ul.ulimit.Y2X(h.total)
 	} else {
 		h.myf = noFit
 	}
@@ -607,7 +605,7 @@ func (s *Scheduler) updateVF(cl *Class, length, now int64, leafEmptied bool) {
 		s.repositionVT(cl)
 
 		if cl.hasUSC {
-			h.myf = cl.ulimit.Y2X(h.total)
+			h.myf = cl.ul.ulimit.Y2X(h.total)
 		}
 		s.refreshF(cl)
 	}

@@ -16,9 +16,10 @@ import (
 // subtree. firstFit descends by it to the smallest-vt child whose fit
 // time has arrived, and the root's vaug is the parent's cfmin: the
 // minimum f over all its active children.
+//
+// The member count is not kept here: it is the owner's hot.nactive.
 type vtTree struct {
 	root *hot
-	n    int // number of members
 }
 
 // before orders active siblings by virtual time, breaking ties by id so
@@ -186,7 +187,6 @@ func (t *vtTree) insert(h *hot) {
 	default:
 		p.vr = h
 	}
-	t.n++
 	// Adding h can only lower its ancestors' minima, and only while h.f
 	// is below them.
 	for a := p; a != nil && h.f < a.vaug; a = a.vp {
@@ -243,7 +243,6 @@ func (t *vtTree) transplant(u, v *hot) {
 
 // remove unlinks member z from the tree.
 func (t *vtTree) remove(z *hot) {
-	t.n--
 	y := z
 	yWasRed := y.vred
 	var x, xParent *hot
@@ -409,8 +408,8 @@ func (t *vtTree) verify(owner *Class) error {
 	if _, _, err := walk(t.root); err != nil {
 		return err
 	}
-	if count != t.n {
-		return fmt.Errorf("class %q vt tree holds %d records, Len %d", owner.name, count, t.n)
+	if count != int(owner.hot.nactive) {
+		return fmt.Errorf("class %q vt tree holds %d records, nactive %d", owner.name, count, owner.hot.nactive)
 	}
 	return nil
 }

@@ -109,7 +109,7 @@ func (t *ClassTemplate) config(name string) (ClassConfig, error) {
 // refuses the name) and with ErrUnknownClass when the template's parent
 // has not been created yet.
 func (s *Scheduler) EnsureClass(name string, now int64) (*Class, error) {
-	if w := s.byName[name]; w != nil {
+	if w := s.Class(name); w != nil {
 		return w, nil
 	}
 	tpl, ok := matchTpl(s.tpls, name)
@@ -122,7 +122,7 @@ func (s *Scheduler) EnsureClass(name string, now int64) (*Class, error) {
 	}
 	var parent *Class
 	if tpl.Parent != "" {
-		if parent = s.byName[tpl.Parent]; parent == nil {
+		if parent = s.Class(tpl.Parent); parent == nil {
 			return nil, fmt.Errorf("%w: template parent %q", ErrUnknownClass, tpl.Parent)
 		}
 	}
@@ -192,7 +192,7 @@ func (s *Scheduler) ClassID(name string) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	return v.(int), true
+	return v.(*Class).ID(), true
 }
 
 // lcArmed reports whether any class is enrolled in idle collection — the

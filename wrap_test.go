@@ -1,14 +1,21 @@
 package hfsc
 
-// White-box test: the wrapper caches *Class values in two maps (byName and
-// wrapped). RemoveClass must clean both, or removed classes leak and stale
-// wrappers resurface when a core class pointer is reused.
+// White-box test: the wrapper keeps its *Class handles in one name index
+// (names). RemoveClass must clean it, or removed classes leak and stale
+// handles resurface under a re-added name.
 
 import (
 	"errors"
 	"testing"
 	"time"
 )
+
+// indexLen counts the name index's entries.
+func indexLen(s *Scheduler) int {
+	n := 0
+	s.names.Range(func(any, any) bool { n++; return true })
+	return n
+}
 
 func TestRemoveClassCleansWrapMaps(t *testing.T) {
 	s := New(Config{})
@@ -17,34 +24,32 @@ func TestRemoveClassCleansWrapMaps(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
-		// Touch the wrap cache through every accessor that populates it.
+		// Every accessor that maps a core class back to its handle must
+		// return the handle AddClass did.
 		if a.Parent() != s.Root() {
 			t.Fatal("parent lookup")
 		}
-		s.Classes()
+		if cs := s.Classes(); len(cs) != 2 || cs[1] != a {
+			t.Fatalf("round %d: Classes() = %v, want root and the added handle", i, cs)
+		}
 		if err := s.RemoveClass(a); err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
-		if got := len(s.byName); got != 0 {
-			t.Fatalf("round %d: byName holds %d entries after removal", i, got)
-		}
-		// Only root (and any interior wrappers) may remain cached; the
-		// removed leaf's entry must be gone.
-		if _, stale := s.wrapped[a.c]; stale {
-			t.Fatalf("round %d: wrapped map still holds the removed class", i)
+		if got := indexLen(s); got != 0 {
+			t.Fatalf("round %d: name index holds %d entries after removal", i, got)
 		}
 	}
-	// A failed removal must leave the maps intact.
+	// A failed removal must leave the index intact.
 	b, _ := s.AddClass(nil, "b", ClassConfig{LinkShare: Linear(Mbps)})
 	s.Offer(&Packet{Len: 100, Class: b.ID()}, 0)
 	if err := s.RemoveClass(b); err == nil {
 		t.Fatal("removed an active class")
 	}
 	if s.Class("b") != b {
-		t.Fatal("failed removal evicted the class from byName")
+		t.Fatal("failed removal evicted the class from the name index")
 	}
-	if _, ok := s.wrapped[b.c]; !ok {
-		t.Fatal("failed removal evicted the class from wrapped")
+	if id, ok := s.ClassID("b"); !ok || id != b.ID() {
+		t.Fatalf("ClassID(b) = %d, %v after a failed removal", id, ok)
 	}
 }
 
@@ -52,7 +57,7 @@ func TestRemoveClassCleansWrapMaps(t *testing.T) {
 // not let the stale first-generation *Class shadow or evict the live one —
 // Class(name) keeps resolving to the re-added class, and a second
 // RemoveClass on the stale wrapper fails with ErrClassRemoved instead of
-// panicking or corrupting byName.
+// panicking or corrupting the name index.
 func TestRemoveClassStaleWrapperAfterReadd(t *testing.T) {
 	s := New(Config{})
 	gen1, err := s.AddClass(nil, "tenant", ClassConfig{LinkShare: Linear(Mbps)})
@@ -76,7 +81,7 @@ func TestRemoveClassStaleWrapperAfterReadd(t *testing.T) {
 		t.Fatalf("stale RemoveClass returned %v, want ErrClassRemoved", err)
 	}
 	if got := s.Class("tenant"); got != gen2 {
-		t.Fatal("stale RemoveClass evicted the live class from byName")
+		t.Fatal("stale RemoveClass evicted the live class from the name index")
 	}
 	// SetCurves on the stale wrapper is refused the same way.
 	if err := s.SetCurves(gen1, ClassConfig{LinkShare: Linear(Mbps)}, 0); !errors.Is(err, ErrClassRemoved) {
@@ -96,10 +101,10 @@ func TestRemoveClassStaleWrapperAfterReadd(t *testing.T) {
 	}
 }
 
-// Lifecycle extension of the wrap-map hygiene regression: classes removed
-// by idle collection (not an explicit RemoveClass call) must scrub every
-// registry too — byName, wrapped, the lock-free name registry, and the
-// collection tracking table itself.
+// Lifecycle extension of the name-index hygiene regression: classes
+// removed by idle collection (not an explicit RemoveClass call) must scrub
+// every registry too — the name index and the collection tracking table
+// itself.
 func TestCollectIdleCleansWrapMaps(t *testing.T) {
 	s := New(Config{})
 	s.SetTemplate("", ClassTemplate{
@@ -110,19 +115,14 @@ func TestCollectIdleCleansWrapMaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Touch the wrap cache through every accessor that populates it.
 	if cl.Parent() != s.Root() {
 		t.Fatal("parent lookup")
 	}
-	s.Classes()
 	if n := s.CollectIdle(int64(time.Millisecond)); n != 1 {
 		t.Fatalf("collected %d classes, want 1", n)
 	}
-	if got := len(s.byName); got != 0 {
-		t.Fatalf("byName holds %d entries after collection", got)
-	}
-	if _, stale := s.wrapped[cl.c]; stale {
-		t.Fatal("wrapped map still holds the collected class")
+	if got := indexLen(s); got != 0 {
+		t.Fatalf("name index holds %d entries after collection", got)
 	}
 	if _, ok := s.ClassID("ephemeral"); ok {
 		t.Fatal("name registry still resolves the collected class")
